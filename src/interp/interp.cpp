@@ -20,7 +20,6 @@ void Interp::start(const ir::Function* f,
   fr.args = dc.args.data();
   fr.ip = 0;
   fr.ret_to = ir::kNoReg;
-  fr.jit = jit_cfg_.tier != JitTier::kOff ? &f->jit_cache() : nullptr;
   fr.regs.assign(f->num_regs(), 0);
   for (std::size_t i = 0; i < args.size(); ++i) fr.regs[i] = args[i];
 }
@@ -45,22 +44,6 @@ Interp::Step Interp::step(sim::Cycle budget) {
   }
   Frame& fr = frames_[depth_ - 1];
   if (fr.code[fr.ip].is_boundary()) return step_boundary(fr.code[fr.ip]);
-
-  // Tiered dispatch (interp/jit.hpp): run an installed superblock, or, when
-  // this site just crossed the recording threshold with enough budget
-  // headroom, record one while executing. SDiv/SRem entries are untraceable
-  // (multi-cycle cost would break the in-trace cycles == retired identity),
-  // so those sites never bump. Either path is a valid step: both apply the
-  // fused loop's per-instruction budget rule against the same register file.
-  if (fr.jit != nullptr) {
-    if (ir::Superblock* sb = fr.jit->lookup(fr.ip))
-      return run_superblock(fr, *sb, budget);
-    const DecOp op = fr.code[fr.ip].op;
-    if (budget >= kMinRecordBudget && op != DecOp::SDiv &&
-        op != DecOp::SRem && fr.jit->bump(fr.ip) == jit_cfg_.threshold) {
-      return record_step(fr, budget);
-    }
-  }
 
   // Fused pure-register run. Nothing below reads or writes anything another
   // core can observe, so retiring the whole run inside one scheduler event
@@ -280,8 +263,6 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       callee.args = dc.args.data();
       callee.ip = 0;
       callee.ret_to = ins.dst;
-      callee.jit =
-          jit_cfg_.tier != JitTier::kOff ? &ext.callee->jit_cache() : nullptr;
       callee.regs.assign(ext.callee->num_regs(), 0);
       const Frame& caller = frames_[depth_ - 2];  // fr may have moved
       for (std::uint32_t i = 0; i < nargs; ++i) {

@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "interp/jit.hpp"
 #include "ir/module.hpp"
 #include "sim/types.hpp"
 
@@ -61,13 +60,9 @@ class ExecEnv {
 
 class Interp {
  public:
-  /// `jit` selects the execution tier (copied; see interp/jit.hpp). Null
-  /// keeps the PR 2 behaviour — fused interpretation only, no profiling —
-  /// so direct constructions (tests, tools) are unchanged; the transaction
-  /// executor passes its RuntimeConfig's JitConfig.
-  explicit Interp(ExecEnv& env, const JitConfig* jit = nullptr)
-      : env_(env), jit_cfg_(jit != nullptr ? *jit : JitConfig{JitTier::kOff}) {}
+  explicit Interp(ExecEnv& env) : env_(env) {}
 
+  /// `f` must belong to a finalized module (its code is decoded).
   void start(const ir::Function* f, std::span<const std::uint64_t> args);
   void reset();
 
@@ -92,10 +87,9 @@ class Interp {
   bool running() const { return depth_ > 0; }
   /// True when the next step() is guaranteed not to touch any shared
   /// simulator state: the next instruction is a pure register instruction,
-  /// so the whole step (fused run or installed superblock — traces contain
-  /// only pure instructions and stop at boundaries) stays inside this
-  /// core's frame. The parallel machine uses this to classify window-local
-  /// vs synchronizing steps (sim/machine.hpp).
+  /// so the whole fused run (which stops before the next boundary) stays
+  /// inside this core's frame. The parallel machine uses this to classify
+  /// window-local vs synchronizing steps (sim/machine.hpp).
   bool next_is_pure() const {
     if (depth_ == 0) return false;
     const Frame& fr = frames_[depth_ - 1];
@@ -161,20 +155,6 @@ class Interp {
   std::uint64_t instrs_executed() const { return instr_count_; }
   std::uint64_t alps_executed() const { return alp_count_; }
 
-  const JitConfig& jit_config() const { return jit_cfg_; }
-  /// Host-side JIT introspection (never feeds back into simulated results).
-  std::uint64_t superblocks_recorded() const { return sb_recorded_; }
-  std::uint64_t superblock_runs() const { return sb_runs_; }
-  std::uint64_t superblock_off_exits() const { return sb_off_exits_; }
-
-  /// Smallest budget at which a step records a trace: recording under a
-  /// tiny budget (single-stepping, perturbed schedules) would install
-  /// degenerate one-instruction traces. Sites only bump their counters on
-  /// entries with at least this much headroom, so a perturbed run —
-  /// fuse_budget pinned to 1 — never records or enters traces mid-flight
-  /// and sees exactly the event boundaries single-stepping produces.
-  static constexpr sim::Cycle kMinRecordBudget = 32;
-
   /// Cost model constants (cycles).
   static constexpr sim::Cycle kAluCost = 1;
   static constexpr sim::Cycle kDivCost = 12;
@@ -191,22 +171,15 @@ class Interp {
     std::uint32_t ip = 0;
     ir::Reg ret_to = ir::kNoReg;
     std::vector<std::uint64_t> regs;
-    /// The frame function's trace cache, or null when the tier is kOff.
-    ir::SuperblockCache* jit = nullptr;
   };
 
   Step step_boundary(const ir::DecodedInstr& ins);
-  // Tier dispatch (interp/jit.cpp): execute an installed trace / record a
-  // new one while executing (both are valid steps under `budget`).
-  Step run_superblock(Frame& fr, ir::Superblock& sb, sim::Cycle budget);
-  Step record_step(Frame& fr, sim::Cycle budget);
 
   /// Returns the frame at depth_ (reusing a pooled Frame's register storage
   /// when one exists) and increments depth_. May reallocate `frames_`.
   Frame& push_frame();
 
   ExecEnv& env_;
-  JitConfig jit_cfg_;
   // Frame pool: frames_[0..depth_) are live; slots above depth_ keep their
   // register vectors' capacity so repeated transactions do not reallocate.
   std::vector<Frame> frames_;
@@ -214,9 +187,6 @@ class Interp {
   std::uint64_t result_ = 0;
   std::uint64_t instr_count_ = 0;
   std::uint64_t alp_count_ = 0;
-  std::uint64_t sb_recorded_ = 0;
-  std::uint64_t sb_runs_ = 0;
-  std::uint64_t sb_off_exits_ = 0;
 };
 
 }  // namespace st::interp

@@ -1,73 +1,18 @@
-// JIT tiers for the TxIR interpreter (see ir/superblock.hpp for the trace
-// representation and the correctness argument).
-//
-// Tier selection is a host-side knob: which dispatcher retires a trace's
-// instructions can never change a simulated result, because every tier
-// applies the same per-instruction "start strictly inside the budget" rule
-// as the fused interpreter loop, over the same de-fused instruction stream,
-// against the same register file. The differential CI job enforces this
-// byte-for-byte across off/portable/native.
-//
-//   kOff      — no profiling, no traces; PR 2's fused loop only.
-//   kPortable — superblocks run through a direct-threaded (computed-goto)
-//               dispatcher. Default tier; works on every host.
-//   kNative   — superblocks additionally compiled to x86-64 machine code
-//               (interp/jit_native.hpp) when the backend is built in;
-//               requesting it otherwise is a configuration error (exit 2),
-//               never a silent fallback.
+// Interpreter execution-tier name, kept for one reader: perfbench records
+// the tier of the build it times (perfbench/main.cpp). The interpreter has
+// a single tier, the fused pre-decoded loop (interp/interp.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "ir/superblock.hpp"
-#include "sim/types.hpp"
-
 namespace st::interp {
 
-enum class JitTier : std::uint8_t { kOff, kPortable, kNative };
+enum class JitTier : std::uint8_t { kOff };
 
-const char* jit_tier_name(JitTier t);
-
-/// True when the x86-64 template backend was compiled in
-/// (-DSTAGTM_NATIVE_JIT=ON and an x86-64 host).
-bool jit_native_available();
+constexpr const char* jit_tier_name(JitTier) { return "off"; }
 
 struct JitConfig {
-  JitTier tier = JitTier::kPortable;
-  /// Step entries at one site before a trace is recorded there
-  /// (STAGTM_JIT_THRESHOLD, in [1, 2^30]).
-  std::uint32_t threshold = 64;
-  /// Maximum instructions per trace (STAGTM_JIT_CAP, in [1, 65536]).
-  std::uint32_t cap = 256;
-
-  /// Reads STAGTM_JIT ("off" | "portable" | "native"), STAGTM_JIT_THRESHOLD
-  /// and STAGTM_JIT_CAP. Unset keeps the defaults above; malformed values
-  /// exit 2 naming the variable (common/env contract). Called per
-  /// configuration object, never latched.
-  static JitConfig from_env();
+  JitTier tier = JitTier::kOff;
 };
-
-/// What a superblock execution reports back: cycles consumed (equal to
-/// instructions retired — traces hold only cost-1 ops) and the decoded-code
-/// index to resume the interpreter at.
-struct SbRun {
-  sim::Cycle cycles = 0;
-  std::uint32_t exit_ip = 0;
-  bool off_trace = false;  // exit was a guard going the unrecorded way
-};
-
-/// Native entry point signature (SysV: regs in rdi, budget in rsi; returns
-/// cycles in rax, exit ip in rdx).
-struct SbExit {
-  std::uint64_t cycles;
-  std::uint64_t exit_ip;
-};
-using SbFn = SbExit (*)(std::uint64_t* regs, std::uint64_t budget);
-
-/// Direct-threaded trace executor. `budget` must be >= 1; retires at least
-/// one instruction and stops an instruction before the budget is exceeded,
-/// on a failed guard (off-trace exit), or at the trace end.
-SbRun run_superblock_portable(const ir::Superblock& sb, std::uint64_t* regs,
-                              sim::Cycle budget);
 
 }  // namespace st::interp

@@ -4,12 +4,13 @@
 #include <deque>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "ir/decode.hpp"
 #include "ir/instr.hpp"
-#include "ir/superblock.hpp"
 
 namespace st::ir {
 
@@ -58,6 +59,8 @@ class Function {
     return param_pointees_[i];
   }
 
+  /// Appends an empty block. Rejected once the function is decoded: the
+  /// decoded code is immutable, so the IR it was built from must be too.
   BasicBlock* add_block(std::string name);
   BasicBlock* entry() { return blocks_.empty() ? nullptr : blocks_.front().get(); }
   const BasicBlock* entry() const {
@@ -75,28 +78,25 @@ class Function {
   Reg param_reg(unsigned i) const;
 
   /// Blocks in reverse post-order from the entry (unreachable blocks are
-  /// excluded). Cached; invalidated by add_block.
+  /// excluded). Cached lazily and invalidated by add_block. Only compile
+  /// passes call it (dsa/local.cpp, ir/domtree.cpp), single-threaded and
+  /// before Module::finalize, so the cache needs no synchronization.
   const std::vector<BasicBlock*>& rpo() const;
 
   unsigned instr_count() const;
 
-  /// Pre-decoded flat code (see ir/decode.hpp), built lazily on first use
-  /// and cached. add_block and Module::finalize (which assigns PCs)
-  /// invalidate it; passes that splice instructions into existing blocks
-  /// must finish before the first execution — the compile pipeline
-  /// guarantees this by finalizing last.
-  const DecodedCode& decoded() const;
-  void invalidate_decoded() const {
-    decoded_.reset();
-    jit_.reset();  // traces index the decoded layout; never outlive it
+  /// Builds the pre-decoded flat code (see ir/decode.hpp). Module::finalize
+  /// calls it once per function, after instrumentation and PC assignment;
+  /// a second call is rejected.
+  void decode();
+  /// The code decode() built. Immutable and never rebuilt, so any number of
+  /// interpreters on any number of host threads may read it concurrently.
+  /// Fails its check when the module has not been finalized.
+  const DecodedCode& decoded() const {
+    ST_CHECK_MSG(decoded_.has_value(),
+                 "function not decoded: run Module::finalize() first");
+    return *decoded_;
   }
-
-  /// Per-function superblock trace cache (ir/superblock.hpp): step-entry
-  /// profile counters plus installed traces over the current decoded()
-  /// layout. Built lazily by the first JIT-enabled interpreter; dropped
-  /// together with decoded() whenever the code changes, so a stale trace
-  /// can never execute.
-  SuperblockCache& jit_cache() const;
 
  private:
   std::string name_;
@@ -106,8 +106,7 @@ class Function {
   unsigned next_reg_;
   mutable std::vector<BasicBlock*> rpo_cache_;
   mutable bool rpo_valid_ = false;
-  mutable std::unique_ptr<DecodedCode> decoded_;
-  mutable std::unique_ptr<SuperblockCache> jit_;
+  std::optional<DecodedCode> decoded_;
 };
 
 }  // namespace st::ir

@@ -49,9 +49,9 @@ void Module::finalize() {
         pc_map_.emplace(ins.pc, &ins);
       }
     }
-    // Instrumentation and PC assignment are done; anything decoded before
-    // this point (e.g. by a unit test) is stale now.
-    f->invalidate_decoded();
+    // Instrumentation and PC assignment are done: build the decoded code
+    // every interpreter will share.
+    f->decode();
   }
   finalized_ = true;
 }

@@ -34,8 +34,9 @@ class Module {
   unsigned add_atomic_block(Function* f);
   const std::vector<Function*>& atomic_blocks() const { return atomic_blocks_; }
 
-  /// Assigns a unique PC to every instruction (the "binary layout"). Must
-  /// run after instrumentation and before anchor-table emission/execution.
+  /// Assigns a unique PC to every instruction (the "binary layout") and
+  /// decodes every function (Function::decode). Must run after
+  /// instrumentation and before anchor-table emission/execution.
   void finalize();
   bool finalized() const { return finalized_; }
 

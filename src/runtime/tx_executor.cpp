@@ -156,11 +156,11 @@ TxExecutor::TxExecutor(TxSystem& sys, sim::CoreId core)
       private_windows_(sys.htm().mem().private_classification()) {
   spec_env_ = std::make_unique<SpecEnv>(*this);
   plain_env_ = std::make_unique<PlainEnv>(*this);
-  spec_interp_ = std::make_unique<Interp>(*spec_env_, &sys_.config().jit);
-  plain_interp_ = std::make_unique<Interp>(*plain_env_, &sys_.config().jit);
+  spec_interp_ = std::make_unique<Interp>(*spec_env_);
+  plain_interp_ = std::make_unique<Interp>(*plain_env_);
   if (sys_.stm() != nullptr) {
     stm_env_ = std::make_unique<StmEnv>(*this);
-    stm_interp_ = std::make_unique<Interp>(*stm_env_, &sys_.config().jit);
+    stm_interp_ = std::make_unique<Interp>(*stm_env_);
   }
 }
 

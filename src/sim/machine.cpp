@@ -12,16 +12,11 @@
 
 namespace st::sim {
 
-bool Machine::default_step_fusion() {
+unsigned Machine::default_host_threads() {
   // Re-read per call (one Machine construction each): latching the first
   // answer in a static would let the first Machine built in a process pin
   // the setting for every later one, which breaks tests and tools that
   // flip the knob between runs.
-  return env_flag01("STAGTM_MACROSTEP", true);
-}
-
-unsigned Machine::default_host_threads() {
-  // Same re-read-per-call contract as default_step_fusion().
   return static_cast<unsigned>(
       env_u64("STAGTM_THREADS", 1, 1, kMaxCores, "an integer in [1,256]"));
 }

@@ -170,8 +170,8 @@ class Machine {
   unsigned host_threads() const { return host_threads_; }
 
   /// STAGTM_THREADS: host worker threads per machine, in [1,256]; unset
-  /// defaults to 1 (serial). Read afresh per call, like
-  /// default_step_fusion().
+  /// defaults to 1 (serial). Read afresh per call, never latched
+  /// process-wide.
   static unsigned default_host_threads();
 
   /// True while worker threads are inside a parallel lookahead window
@@ -183,17 +183,12 @@ class Machine {
 
   /// Disables (or re-enables) multi-instruction fusion hints: with fusion
   /// off, fuse_budget() is pinned to 1 and every step retires at most one
-  /// instruction. Defaults to the STAGTM_MACROSTEP environment knob.
+  /// instruction. On by default (default_step_fusion).
   void set_step_fusion(bool on) { fusion_ = on; }
   bool step_fusion() const { return fusion_; }
 
-  /// STAGTM_MACROSTEP: unset or "1" enables fusion, "0" disables it;
-  /// anything else exits with a diagnostic. Read afresh on every call —
-  /// each Machine samples it at construction (and set_step_fusion can
-  /// override per instance afterwards), so changing the environment
-  /// between Machine constructions takes effect; nothing is latched
-  /// process-wide.
-  static bool default_step_fusion();
+  /// Fusion is on unless a caller asks for a single-stepped reference run.
+  static constexpr bool default_step_fusion() { return true; }
 
   /// Optional event sink (see obs/trace.hpp): the scheduler stamps a
   /// core_done event when a task finishes, giving exported timelines an

@@ -159,7 +159,6 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   rt.policy.addr_only = opt.scheme == runtime::Scheme::kAddrOnly;
   rt.macrostep = opt.macrostep;
   rt.host_threads = opt.host_threads;
-  rt.jit = opt.jit;
   rt.mem.private_lines = opt.private_lines;
   rt.record_commits = opt.checked;
   rt.unsafe_skip_subscription = opt.unsafe_skip_subscription;
@@ -238,11 +237,6 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   }
   r.sched_mode = check::sched_mode_name(sched.mode);
   r.sched_seed = sched.enabled() ? sched.seed : 0;
-  r.jit_mode = interp::jit_tier_name(opt.jit.tier);
-  if (opt.jit.tier != interp::JitTier::kOff) {
-    r.jit_threshold = opt.jit.threshold;
-    r.jit_cap = opt.jit.cap;
-  }
 
   if (obs::TraceSink* sink = sys.trace()) {
     // Trace output is strictly a side channel: the notice goes to stderr

@@ -155,6 +155,33 @@ TEST(Module, FinalizeAssignsUniqueNonZeroPcs) {
   EXPECT_EQ(m.instr_at(0), nullptr);
 }
 
+TEST(Module, FinalizeDecodesEveryFunction) {
+  Module m;
+  FunctionBuilder callee(m, "callee", {nullptr});
+  callee.ret(callee.add(callee.param(0), callee.const_i(1)));
+  FunctionBuilder unused(m, "unused", {});
+  unused.ret(unused.const_i(3));
+  m.finalize();
+  for (const auto& f : m.functions())
+    EXPECT_EQ(f->decoded().code.size(), f->instr_count()) << f->name();
+}
+
+TEST(ModuleDeath, DecodedBeforeFinalizeFails) {
+  Module m;
+  FunctionBuilder b(m, "f", {nullptr});
+  b.ret(b.param(0));
+  EXPECT_DEATH(b.function()->decoded(), "function not decoded");
+}
+
+TEST(ModuleDeath, AddBlockOnDecodedFunctionFails) {
+  Module m;
+  FunctionBuilder b(m, "f", {nullptr});
+  b.ret(b.param(0));
+  m.finalize();
+  EXPECT_DEATH(b.function()->add_block("late"),
+               "add_block on a decoded function");
+}
+
 TEST(Printer, RendersRecognizableText) {
   Module m;
   FunctionBuilder b(m, "pretty", {nullptr});

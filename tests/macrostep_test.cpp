@@ -68,6 +68,7 @@ ir::Function* build_sum_loop(ir::Module& m) {
 TEST(Macrostep, BudgetOneSingleSteps) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(f, std::vector<std::uint64_t>{8});
@@ -84,6 +85,7 @@ TEST(Macrostep, BudgetOneSingleSteps) {
 TEST(Macrostep, LargeBudgetFusesPureRunsSameResultAndCycles) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
 
   // Reference: single-stepped, summing the per-step cycle costs.
@@ -126,6 +128,7 @@ TEST(Macrostep, FusedRunStopsBeforeBoundary) {
   const ir::Reg v = b.var(b.add(b.param(0), b.const_i(1)));
   b.store(b.param(0), v, 8);
   b.ret(b.add(v, v));
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(b.function(), std::vector<std::uint64_t>{0x2000});
@@ -151,6 +154,7 @@ TEST(Macrostep, FusedRunStopsBeforeBoundary) {
 TEST(Macrostep, BudgetCapsFusedCycleCost) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(f, std::vector<std::uint64_t>{1000});
@@ -185,6 +189,7 @@ TEST(Macrostep, BudgetSweepIsInvariant) {
   b.ret(acc);
   ir::Function* f = b.function();
 
+  m.finalize();
   CountingEnv env;
   interp::Interp ref(env);
   ref.start(f, std::vector<std::uint64_t>{50});
@@ -231,6 +236,7 @@ TEST(MacrostepDeath, CallWithTooManyArgsIsRejected) {
   caller->entry()->instrs().push_back(call);
   caller->entry()->instrs().push_back(ret);
 
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(caller, std::vector<std::uint64_t>{42});
@@ -308,7 +314,7 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
 
 // ---------------------------------------------------------------------------
 // Differential full-system runs: fusion must not change any simulated
-// number, on workloads with real contention, aborts, and advisory locks.
+// number, on all ten workloads (real contention, aborts, advisory locks).
 // ---------------------------------------------------------------------------
 
 void expect_identical_runs(const char* workload, runtime::Scheme scheme) {
@@ -354,6 +360,38 @@ TEST(MacrostepDifferential, ListHiStaggered) {
 
 TEST(MacrostepDifferential, ListHiStaggeredSW) {
   expect_identical_runs("list-hi", runtime::Scheme::kStaggeredSW);
+}
+
+TEST(MacrostepDifferential, Genome) {
+  expect_identical_runs("genome", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Intruder) {
+  expect_identical_runs("intruder", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Kmeans) {
+  expect_identical_runs("kmeans", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Labyrinth) {
+  expect_identical_runs("labyrinth", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Vacation) {
+  expect_identical_runs("vacation", runtime::Scheme::kStaggeredSW);
+}
+
+TEST(MacrostepDifferential, ListLo) {
+  expect_identical_runs("list-lo", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Tsp) {
+  expect_identical_runs("tsp", runtime::Scheme::kStaggered);
+}
+
+TEST(MacrostepDifferential, Memcached) {
+  expect_identical_runs("memcached", runtime::Scheme::kStaggered);
 }
 
 }  // namespace

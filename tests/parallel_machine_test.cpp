@@ -6,12 +6,16 @@
 // log byte-for-byte — between host_threads == 1 and parallel configurations.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 
-#include "interp/jit.hpp"
+#include "interp/interp.hpp"
+#include "ir/builder.hpp"
+#include "multicore.hpp"
 #include "obs/metrics.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/workload.hpp"
@@ -20,7 +24,7 @@ namespace st::workloads {
 namespace {
 
 /// Serializes everything simulated about a run into one comparable string.
-/// Host-side fields (wall_ms, host_threads, par, jit provenance) are
+/// Host-side fields (wall_ms, host_threads, par) are
 /// deliberately excluded — they are allowed to differ.
 std::string sim_fingerprint(const RunResult& r) {
   char* buf = nullptr;
@@ -69,6 +73,7 @@ RunOptions base_options() {
 /// Commit-log byte comparison across every registered workload: the serial
 /// loop vs a 4-worker window engine must serialize identically.
 TEST(ParallelMachine, AllWorkloadsBitIdenticalAtFourHostThreads) {
+  ST_SKIP_WITHOUT_MULTICORE();
   for (const auto& [name, factory] : workload_registry()) {
     RunOptions opt = base_options();
     opt.host_threads = 1;
@@ -84,18 +89,15 @@ TEST(ParallelMachine, AllWorkloadsBitIdenticalAtFourHostThreads) {
 }
 
 /// Randomized differential fuzz over the host-side configuration space:
-/// worker count in {2, 4, 8}, eager vs lazy conflict detection, interpreter
-/// tier, macro-stepping, scheme, and seed. Fixed fuzz seed so failures
-/// reproduce; each sample is checked against its own serial twin.
-TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
+/// worker count in {2, 4, 8}, eager vs lazy conflict detection,
+/// macro-stepping, scheme, and seed. Fixed fuzz seed so failures reproduce;
+/// each sample is checked against its own serial twin.
+TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModes) {
+  ST_SKIP_WITHOUT_MULTICORE();
   const char* names[] = {"list-hi", "kmeans", "ssca2", "intruder", "vacation"};
   const runtime::Scheme schemes[] = {runtime::Scheme::kBaseline,
                                      runtime::Scheme::kStaggered,
                                      runtime::Scheme::kStaggeredSW};
-  const interp::JitTier tiers[] = {
-      interp::JitTier::kOff, interp::JitTier::kPortable,
-      interp::jit_native_available() ? interp::JitTier::kNative
-                                     : interp::JitTier::kPortable};
   std::mt19937 rng(20260808);
   for (int i = 0; i < 10; ++i) {
     RunOptions opt = base_options();
@@ -103,8 +105,6 @@ TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
     opt.lazy_htm = (rng() % 2) != 0;
     opt.macrostep = (rng() % 2) != 0;
     opt.seed = 1 + rng() % 5;
-    opt.jit.tier = tiers[rng() % 3];
-    opt.jit.threshold = 2;
     const std::string name = names[rng() % 5];
     const unsigned workers = 1u << (1 + rng() % 3);  // 2, 4, 8
 
@@ -114,9 +114,95 @@ TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
     const RunResult par = run_workload(name, opt);
     EXPECT_EQ(sim_fingerprint(serial), sim_fingerprint(par))
         << name << " workers=" << workers << " lazy=" << opt.lazy_htm
-        << " macrostep=" << opt.macrostep << " seed=" << opt.seed
-        << " jit=" << interp::jit_tier_name(opt.jit.tier);
+        << " macrostep=" << opt.macrostep << " seed=" << opt.seed;
   }
+}
+
+/// Memory-free env: the functions below only compute and call.
+struct PureEnv final : interp::ExecEnv {
+  Mem load(sim::Addr, unsigned, std::uint32_t) override { return {}; }
+  Mem store(sim::Addr, std::uint64_t, unsigned, std::uint32_t) override {
+    return {};
+  }
+  Mem nt_load(sim::Addr, unsigned) override { return {}; }
+  Mem nt_store(sim::Addr, std::uint64_t, unsigned) override { return {}; }
+  Mem alloc(const ir::StructType*, sim::Addr& out, std::uint32_t) override {
+    out = 0;
+    return {};
+  }
+  void free_(sim::Addr) override {}
+  AlpResult alpoint(std::uint32_t, sim::Addr, std::uint32_t) override {
+    return {};
+  }
+};
+
+struct InterpRun {
+  std::uint64_t result = 0;
+  std::uint64_t instrs = 0;
+  sim::Cycle cycles = 0;
+  bool operator==(const InterpRun&) const = default;
+};
+
+InterpRun run_interp(const ir::Function* f, std::uint64_t arg,
+                     sim::Cycle budget) {
+  PureEnv env;
+  interp::Interp it(env);
+  it.start(f, std::vector<std::uint64_t>{arg});
+  InterpRun r;
+  for (;;) {
+    const auto s = it.step(budget);
+    r.cycles += s.cycles;
+    if (s.finished) break;
+  }
+  r.result = it.result();
+  r.instrs = it.instrs_executed();
+  return r;
+}
+
+/// Interpreters on several host threads share one finalized module, and
+/// their first calls into a shared callee happen together. Decoded code is
+/// built once at Module::finalize, so the threads only ever read it: every
+/// thread must reproduce the single-threaded result, instruction count and
+/// cycle total exactly (and TSan must see no race).
+TEST(ParallelMachine, ConcurrentFirstTouchOfSharedCallee) {
+  ST_SKIP_WITHOUT_MULTICORE();
+  ir::Module m;
+  ir::FunctionBuilder leaf(m, "leaf", {nullptr});
+  leaf.ret(leaf.xor_(leaf.mul(leaf.param(0), leaf.const_i(2654435761)),
+                     leaf.const_i(0x5a5a)));
+  ir::FunctionBuilder mid(m, "mid", {nullptr});
+  mid.ret(mid.add(mid.call(leaf.function(), {mid.param(0)}),
+                  mid.call(leaf.function(), {mid.add(mid.param(0),
+                                                     mid.const_i(1))})));
+  ir::FunctionBuilder top(m, "top", {nullptr});
+  const ir::Reg i = top.var(top.const_i(0));
+  const ir::Reg acc = top.var(top.const_i(0));
+  top.while_([&] { return top.cmp_slt(i, top.param(0)); },
+             [&] {
+               top.assign(acc, top.add(acc, top.call(mid.function(), {i})));
+               top.assign(i, top.add(i, top.const_i(1)));
+             });
+  top.ret(acc);
+  m.finalize();
+
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kIters = 2000;
+  const sim::Cycle budgets[kThreads] = {1, 3, 64, sim::Cycle{1} << 20};
+  std::vector<InterpRun> got(kThreads);
+  std::barrier start(kThreads);
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = run_interp(top.function(), kIters, budgets[t]);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  const InterpRun want = run_interp(top.function(), kIters, 1);
+  EXPECT_GT(want.instrs, 6 * kIters);  // three calls and returns per iteration
+  for (unsigned t = 0; t < kThreads; ++t)
+    EXPECT_EQ(got[t], want) << "thread " << t << " budget " << budgets[t];
 }
 
 /// Schedule perturbation must force the serial path: the perturbation hooks
