@@ -12,11 +12,7 @@
 //   STAGTM_CORES   — simulated worker count (default 16, as in the paper)
 //   STAGTM_SEED    — RNG seed (default 1)
 //   STAGTM_JOBS    — host worker threads, one per simulation (default:
-//     hardware concurrency)
-//   STAGTM_THREADS — host worker threads *inside* one simulation
-//     (sim/machine.hpp parallel engine; default 1; never changes stdout or
-//     simulated results, and the runner caps JOBS x THREADS at hardware
-//     concurrency)
+//     hardware concurrency; never changes stdout or simulated results)
 //   STAGTM_JSON    — if set, write machine-readable results to this path
 //   STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP — event tracing
 //     (obs/trace.hpp); never changes stdout or simulated results
@@ -51,9 +47,8 @@ inline double env_scale() {
 }
 
 inline unsigned env_cores() {
-  // Historically named STAGTM_THREADS; renamed when STAGTM_THREADS became
-  // the *host*-thread knob. The printed header keeps the "threads=" label
-  // (simulated worker threads) so frozen stdout stays byte-identical.
+  // The printed header labels this "threads=" (simulated worker threads)
+  // so frozen stdout stays byte-identical.
   return static_cast<unsigned>(env_u64("STAGTM_CORES", 16, 1, 256,
                                        "an integer in [1,256]"));
 }
@@ -93,11 +88,9 @@ inline void print_header(const char* what) {
   std::printf("threads=%u scale=%.2f seed=%llu\n", env_cores(),
               env_scale(), static_cast<unsigned long long>(env_seed()));
   std::printf("==============================================================\n");
-  // stderr, not stdout: job/host-thread counts change wall time but never
-  // results, and stdout must be byte-identical across STAGTM_JOBS and
-  // STAGTM_THREADS settings.
-  std::fprintf(stderr, "[%u host jobs x %u host threads]\n", env_jobs(),
-               sim::Machine::default_host_threads());
+  // stderr, not stdout: the job count changes wall time but never results,
+  // and stdout must be byte-identical across STAGTM_JOBS settings.
+  std::fprintf(stderr, "[%u host jobs]\n", env_jobs());
 }
 
 /// speedup of `r` relative to a single-thread run `base1` (throughput
@@ -193,8 +186,7 @@ class Sweep {
           "\"aborts_per_commit\": %.17g, \"wall_ms\": %.3f, "
           "\"instrs\": %llu, \"minstr_per_s\": %.3f, "
           "\"abort_trace_dropped\": %llu, "
-          "\"sched_mode\": \"%s\", \"sched_seed\": %llu, "
-          "\"host_threads\": %u,",
+          "\"sched_mode\": \"%s\", \"sched_seed\": %llu,",
           r->threads, static_cast<unsigned long long>(r->cycles),
           static_cast<unsigned long long>(r->total_ops), r->throughput(),
           static_cast<unsigned long long>(r->totals.commits),
@@ -204,11 +196,9 @@ class Sweep {
           r->host_minstr_per_s(),
           static_cast<unsigned long long>(r->abort_trace_dropped),
           r->sched_mode.c_str(),
-          static_cast<unsigned long long>(r->sched_seed), r->host_threads);
-      // Parallel-engine host counters (host-side like wall_ms: excluded
-      // from differential comparisons).
-      std::fprintf(f, "\n     \"host_par\": ");
-      obs::write_host_par_json(f, r->par, &r->privacy);
+          static_cast<unsigned long long>(r->sched_seed));
+      std::fprintf(f, "\n     \"privacy\": ");
+      obs::write_privacy_json(f, r->privacy);
       // Conflict-provenance summary + the per-job binary file path (only
       // when STAGTM_PROF was set: keys absent in a plain run so the
       // off-vs-on differential strips them like the host-side fields).

@@ -1,4 +1,4 @@
-// Hybrid-TM fallback comparison (DESIGN.md §16, "When the fallback
+// Hybrid-TM fallback comparison (DESIGN.md §13, "When the fallback
 // matters" in EXPERIMENTS.md): with the HTM retry budget forced low so
 // contended transactions exhaust hardware retries quickly, compare the
 // glock-only fallback (every exhausted transaction serializes against all

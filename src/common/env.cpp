@@ -32,14 +32,6 @@ double env_positive_double(const char* name, double dflt) {
   return v;
 }
 
-bool env_flag01(const char* name, bool dflt) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return dflt;
-  if (std::string_view(s) == "1") return true;
-  if (std::string_view(s) == "0") return false;
-  env_fail(name, s, "0 or 1");
-}
-
 bool env_onoff(const char* name, bool dflt) {
   const char* s = std::getenv(name);
   if (s == nullptr) return dflt;

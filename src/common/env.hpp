@@ -24,9 +24,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t dflt, std::uint64_t lo,
 /// Strictly positive floating-point knob.
 double env_positive_double(const char* name, double dflt);
 
-/// Boolean knob: unset -> dflt, "1" -> true, "0" -> false, else exit 2.
-bool env_flag01(const char* name, bool dflt);
-
 /// Boolean knob with word spellings: unset -> dflt, "on"/"1" -> true,
 /// "off"/"0" -> false, else exit 2.
 bool env_onoff(const char* name, bool dflt);

@@ -49,12 +49,11 @@ void HtmSystem::on_conflict_abort(CoreId victim, Addr line, bool pc_valid,
       prov_->on_conflict_stamp(victim, line, requester, requester_pc);
   }
   // Requester-wins: the victim's speculatively written *shared* lines must
-  // vanish immediately so the requester observes committed data. This stamp
-  // executes during the requester's step, so it must leave everything the
-  // victim's window-local steps read untouched: lines still private to the
-  // victim (no requester can name one) keep their residency and marks, and
-  // the speculative log stays whole until the victim's own abort() drains
-  // it at its next synchronizing step.
+  // vanish immediately so the requester observes committed data. Lines
+  // still private to the victim (no requester can name one) keep their
+  // residency and marks, since the doomed victim keeps hitting them until
+  // it observes the abort, and the speculative log stays whole until the
+  // victim's own abort() drains it.
   mem_.invalidate_speculative_writes(victim);
 }
 
@@ -77,10 +76,10 @@ AbortInfo HtmSystem::abort(CoreId c, AbortCause self_cause) {
         priv_ != nullptr ? priv_->private_owner(tx.info.conflict_line) : -1,
         clock_now());
   }
-  // This runs at the victim's own synchronizing step, so the full drain is
-  // window-safe here: it clears the marks and log the cross-core stamp left
-  // in place, invalidates any written lines the stamp exempted as private,
-  // and records the spec-log high-water mark at a deterministic point.
+  // This runs at the victim's own step: the full drain clears the marks and
+  // log the cross-core stamp left in place, invalidates any written lines
+  // the stamp exempted as private, and records the spec-log high-water
+  // mark.
   mem_.clear_speculative(c, /*invalidate_written=*/true);
   switch (tx.info.cause) {
     case AbortCause::Conflict: ++stats_.core(c).aborts_conflict; break;
@@ -236,13 +235,10 @@ HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
   TxState& tx = tx_[c];
   ST_CHECK_MSG(tx.active, "transactional load outside a transaction");
   MemOp r;
-  // A pending abort is observed only at non-commuting accesses: a hit on a
-  // line still private to this core touches no shared state, so letting the
-  // doomed transaction run through it keeps abort delivery a deterministic
-  // function of the instruction stream for any window placement (the window
-  // classifier treats exactly these accesses as window-local). Knob- and
-  // thread-independent by construction of private_hit.
-  if (tx.pending_abort && !mem_.private_hit(c, a)) {
+  // A pending abort is observed only at accesses that leave this core: a
+  // hit on a line still private to it touches no shared state, so the
+  // doomed transaction runs through it (see pending_abort).
+  if (tx.pending_abort && !private_hit(c, a)) {
     r.ok = false;
     return r;
   }
@@ -266,7 +262,7 @@ HtmSystem::MemOp HtmSystem::store(CoreId c, Addr a, std::uint64_t v,
   // Same boundary discipline as load(): private-line hits commute with the
   // pending abort (the write buffer and speculative marks are rolled back
   // wholesale when it lands).
-  if (tx.pending_abort && !mem_.private_hit(c, a)) {
+  if (tx.pending_abort && !private_hit(c, a)) {
     r.ok = false;
     return r;
   }

@@ -91,17 +91,25 @@ class HtmSystem final : public sim::ConflictSink {
   // ---- transaction lifecycle ----
   void begin(CoreId c);
   bool active(CoreId c) const { return tx_[c].active; }
-  /// Window-safety contract (sim/machine.hpp parallel engine, DESIGN.md
-  /// §13): pending_abort is set only by conflict/capacity detection inside
-  /// memory operations — synchronizing steps that the engine serializes in
-  /// (clock, id) order on the main thread — and cleared only by the victim
-  /// core's own abort(). The victim observes the stamp only at its next
-  /// boundary instruction (TxExecutor::run_step), never between
-  /// pure-register instructions, so abort timing is a deterministic
-  /// function of the victim's instruction stream: identical for any window
-  /// placement and any host-thread count, and never read concurrently with
-  /// a write.
+  /// pending_abort is set only by conflict/capacity detection inside
+  /// another core's memory operation and cleared only by the victim core's
+  /// own abort(). The victim observes the stamp only at its next step that
+  /// is not core-local (TxExecutor::run_step, load/store below), so abort
+  /// timing is a deterministic function of the victim's instruction
+  /// stream.
   bool pending_abort(CoreId c) const { return tx_[c].pending_abort; }
+
+  /// True when `a`'s line is still private to core c *and* resident in c's
+  /// L1. Private resident lines are always E or M (no other core can have
+  /// installed a copy), so such an access is a guaranteed hit, load or
+  /// store, that touches no other core's state: a pending abort waits it
+  /// out.
+  bool private_hit(CoreId c, Addr a) const {
+    if (priv_ == nullptr) return false;
+    const Addr line = sim::line_addr(a);
+    return priv_->private_to(c, line) &&
+           mem_.peek_l1_cache(c).find(line) != nullptr;
+  }
 
   /// Finalizes an abort: discards the write buffer, rolls back allocations,
   /// clears speculative cache state, bumps counters. For self-inflicted
@@ -164,7 +172,7 @@ class HtmSystem final : public sim::ConflictSink {
 
   /// Distinct cache lines buffered in the write set, sorted ascending
   /// (scratch reuse — valid until the next call). The hybrid executor
-  /// inspects the STM orecs covering these at commit (DESIGN.md §16).
+  /// inspects the STM orecs covering these at commit (DESIGN.md §13).
   const std::vector<Addr>& written_lines(CoreId c);
 
   // sim::ConflictSink

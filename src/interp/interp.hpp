@@ -85,26 +85,15 @@ class Interp {
   Step step(sim::Cycle budget = 1);
 
   bool running() const { return depth_ > 0; }
-  /// True when the next step() is guaranteed not to touch any shared
-  /// simulator state: the next instruction is a pure register instruction,
-  /// so the whole fused run (which stops before the next boundary) stays
-  /// inside this core's frame. The parallel machine uses this to classify
-  /// window-local vs synchronizing steps (sim/machine.hpp).
-  bool next_is_pure() const {
-    if (depth_ == 0) return false;
-    const Frame& fr = frames_[depth_ - 1];
-    return !fr.code[fr.ip].is_boundary();
-  }
-
-  /// One-instruction lookahead for the private-line window classification
-  /// (runtime/tx_executor.cpp step_commutes): what would the next step()
-  /// touch? Pure reports a non-boundary instruction (same predicate as
-  /// next_is_pure); Load/Store additionally resolve the effective address
-  /// and size from the current register file — valid because the peek runs
-  /// exactly when the step is about to (register state is final). Calls
-  /// and non-final Rets stay inside this core's frame stack; everything
-  /// else (alloc/free, ALPoints, nontransactional ops, the final Ret) is
-  /// reported as Other and always classifies as synchronizing.
+  /// One-instruction lookahead for pending-abort delivery
+  /// (runtime/tx_executor.cpp abort_waits): what would the next step()
+  /// touch? Pure reports a non-boundary instruction, so the whole fused run
+  /// stays inside this core's frame; Load/Store additionally resolve the
+  /// effective address and size from the current register file, valid
+  /// because the peek runs exactly when the step is about to. Calls and
+  /// non-final Rets stay inside this core's frame stack; everything else
+  /// (alloc/free, ALPoints, nontransactional ops, the final Ret) is
+  /// reported as Other.
   struct NextAccess {
     enum class Kind : std::uint8_t {
       kNone,      // not running

@@ -14,7 +14,6 @@
 #include "sim/stats.hpp"
 
 namespace st::sim {
-struct ParStats;
 struct PrivacyStats;
 }
 
@@ -48,18 +47,9 @@ void merge_core_stats(sim::CoreStats& into, const sim::CoreStats& c);
 /// and the log2 bucket array (trailing zero buckets trimmed) per histogram.
 void write_core_stats_json(std::FILE* f, const sim::CoreStats& cs);
 
-/// Serializes the parallel engine's host-side counters (sim/machine.hpp
-/// ParStats) as one JSON object (with braces): windows, window/drain step
-/// split, the window-cycles histogram (same shape as the "hists" entries
-/// above), and per-worker barrier-wait nanoseconds. Host-side only — these
-/// values vary across STAGTM_THREADS settings and are excluded from
-/// differential comparisons, exactly like wall_ms. When `priv` is non-null
-/// a "privacy" sub-object is appended: whether the classification was on,
-/// escaped-line / publish-check totals, and per-worker-arena escape counts
-/// (those four are knob- and thread-independent; only placement here keeps
-/// them out of the differential counter set alongside the window split
-/// they explain).
-void write_host_par_json(std::FILE* f, const sim::ParStats& par,
-                         const sim::PrivacyStats* priv = nullptr);
+/// Serializes a privacy-map snapshot (sim/privacy.hpp PrivacyStats) as one
+/// JSON object (with braces): whether a map was wired, escaped-line and
+/// publish-check totals, and per-worker-arena escape counts.
+void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv);
 
 }  // namespace st::obs

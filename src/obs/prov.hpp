@@ -13,11 +13,9 @@
 // per lock.
 //
 // Like tracing, provenance is strictly an observer: no sink is allocated
-// unless STAGTM_PROF is set, every emission site is null-guarded, and every
-// hook fires inside a synchronizing step of the parallel engine (begin,
-// commit, abort finalization, lock CAS — DESIGN.md §13), so the recorded
-// stream is byte-identical for any STAGTM_THREADS and simulated results are
-// byte-identical with provenance on and off (both CI-enforced).
+// unless STAGTM_PROF is set and every emission site is null-guarded, so
+// simulated results are byte-identical with provenance on and off
+// (CI-enforced).
 //
 // Knobs (exit 2 on malformed values, like every STAGTM_* knob):
 //   STAGTM_PROF=<path>           enable provenance; binary output for the
@@ -121,8 +119,8 @@ struct ProvConfig {
 
 /// Collects blame records and lock episodes into bounded per-core rings
 /// (newest records displace the oldest, trace-style). All hook methods are
-/// called from synchronizing steps only, in deterministic (clock, id)
-/// order, so ring contents are identical for any host-thread count.
+/// called from event-loop steps in deterministic (clock, id) order, so ring
+/// contents reproduce bit-for-bit for a (config, seed).
 class ProvSink {
  public:
   ProvSink(unsigned cores, std::size_t cap_per_core,
@@ -314,7 +312,7 @@ struct LockEffectiveness {
 std::vector<LockEffectiveness> lock_effectiveness(const ProvData& d);
 
 /// Aggregate summary for STAGTM_JSON (all host/observer-side fields: the
-/// new CI job strips them before differential comparison, like host_par).
+/// observer-invariance CI job strips them before differential comparison).
 struct ProvSummary {
   std::uint64_t blame_records = 0;
   std::uint64_t blame_dropped = 0;

@@ -119,7 +119,7 @@ class TxExecutor::PlainEnv final : public ExecEnv {
     auto r = e_.sys_.htm().plain_store(e_.core_, a, v, size, pc);
     // Irrevocable stores are committed state the moment they land; stamp
     // the covering orec so concurrent STM readers/validators observe them
-    // (DESIGN.md §16 — eager coherence only aborts HTM transactions).
+    // (DESIGN.md §13 — eager coherence only aborts HTM transactions).
     if (auto* stm = e_.sys_.stm())
       r.latency += stm->irrev_stamp(e_.core_, sim::line_addr(a));
     return Mem{r.value, r.latency, r.ok};
@@ -152,8 +152,7 @@ class TxExecutor::PlainEnv final : public ExecEnv {
 // ---------------------------------------------------------------------------
 
 TxExecutor::TxExecutor(TxSystem& sys, sim::CoreId core)
-    : sys_(sys), core_(core),
-      private_windows_(sys.htm().mem().private_classification()) {
+    : sys_(sys), core_(core) {
   spec_env_ = std::make_unique<SpecEnv>(*this);
   plain_env_ = std::make_unique<PlainEnv>(*this);
   spec_interp_ = std::make_unique<Interp>(*spec_env_);
@@ -192,10 +191,8 @@ std::uint64_t TxExecutor::take_result() {
   return result_;
 }
 
-bool TxExecutor::step_commutes() const {
-  const interp::Interp& in =
-      state_ == State::kRunning ? *spec_interp_ : *plain_interp_;
-  const auto na = in.next_access();
+bool TxExecutor::abort_waits() const {
+  const auto na = spec_interp_->next_access();
   using K = interp::Interp::NextAccess::Kind;
   switch (na.kind) {
     case K::kPure:
@@ -204,41 +201,13 @@ bool TxExecutor::step_commutes() const {
       return true;
     case K::kLoad:
     case K::kStore:
-      // A hit on a line still private to this core touches only the core's
-      // own L1, write buffer, and (for irrevocable stores) heap bytes no
-      // other core can name. Privacy is stable across a whole lookahead
-      // window (escapes happen only at drain steps), so this answer cannot
-      // rot between classification and execution. Line-crossing accesses
-      // would need two private hits; the simulator forbids them anyway, so
-      // classify them synchronizing and let the access path diagnose.
+      // Line-crossing accesses would need two private hits; the simulator
+      // forbids them anyway, so let the access path diagnose them.
       return sim::line_addr(na.addr) ==
                  sim::line_addr(na.addr + (na.size ? na.size - 1 : 0)) &&
-             sys_.htm().mem().private_hit(core_, na.addr);
+             sys_.htm().private_hit(core_, na.addr);
     default:
       // Alloc/free, nontransactional ops, ALPoints, the final Ret.
-      return false;
-  }
-}
-
-bool TxExecutor::next_step_local() const {
-  switch (state_) {
-    case State::kStmRunning:
-      // Pure-register runs only: STM loads/stores consult the orec table
-      // and the redo log's versioned metadata, which are shared state even
-      // when the data line is private — never window-local.
-      return stm_interp_->next_is_pure();
-    case State::kRunning:
-      // A pending abort stamp does NOT matter here: run_step observes
-      // stamps only at non-commuting steps, so a doomed attempt's
-      // remaining commuting steps retire identically whether the stamp is
-      // visible yet or not.
-      return private_windows_ ? step_commutes() : spec_interp_->next_is_pure();
-    case State::kIrrevRunning:
-      // Irrevocable execution holds the global lock and cannot abort; its
-      // commuting steps are as private as speculative ones.
-      return private_windows_ ? step_commutes()
-                              : plain_interp_->next_is_pure();
-    default:
       return false;
   }
 }
@@ -376,17 +345,13 @@ sim::Cycle TxExecutor::begin_attempt() {
 }
 
 sim::Cycle TxExecutor::run_step(sim::Cycle budget) {
-  // An asynchronous (cross-core) abort stamp is observed at the next
-  // NON-COMMUTING step, never between core-local ones: the doomed attempt
-  // keeps retiring (and the abort discards the work), just as a real core
-  // keeps retiring until the abort interrupt lands. With observation
-  // points restricted to synchronizing steps, the abort's timing is a
-  // function of the victim's own instruction stream — not of when between
-  // two such steps the stamp landed — which is the invariant that lets the
-  // parallel engine (sim/machine.hpp, DESIGN.md §13–14) run commuting
-  // steps inside lookahead windows without consulting shared state. The
-  // predicate is deliberately knob-independent (see step_commutes).
-  if (sys_.htm().pending_abort(core_) && !step_commutes())
+  // An asynchronous (cross-core) abort stamp is observed at the next step
+  // that touches state outside this core, never at a core-local one: the
+  // doomed attempt keeps retiring (and the abort discards the work), just
+  // as a real core keeps retiring until the abort interrupt lands. The
+  // abort's timing is thus a function of the victim's own instruction
+  // stream (see abort_waits).
+  if (sys_.htm().pending_abort(core_) && !abort_waits())
     return handle_abort(AbortCause::None);
   last_step_lock_wait_ = false;
   const auto s = spec_interp_->step(budget);
@@ -417,7 +382,7 @@ sim::Cycle TxExecutor::commit_sequence() {
     if (sub.value != 0) return cost + handle_abort(AbortCause::Glock);
   }
 
-  // HTM<->STM coexistence (DESIGN.md §16), subscription-style: inspect the
+  // HTM<->STM coexistence (DESIGN.md §13), subscription-style: inspect the
   // orecs covering our write footprint with nontransactional loads (orec
   // words must never enter our own speculative set). A locked orec is an
   // STM writer mid-commit whose validated reads we are about to overwrite —
@@ -483,7 +448,6 @@ sim::Cycle TxExecutor::commit_sequence() {
   st.cycles_useful_tx += attempt_cycles_;
   st.tx_instrs += spec_interp_->instrs_executed();
   st.interp_instrs += spec_interp_->instrs_executed();
-  instrs_done_ += spec_interp_->instrs_executed();
   st.h_tx_cycles.add(attempt_cycles_);
   st.h_tx_retries.add(attempts_);
   if (auto* t = sys_.trace())
@@ -570,7 +534,6 @@ sim::Cycle TxExecutor::handle_abort(AbortCause self_cause) {
   // Host-throughput accounting: the doomed attempt's instructions were
   // interpreted even though they never commit.
   st.interp_instrs += spec_interp_->instrs_executed();
-  instrs_done_ += spec_interp_->instrs_executed();
 
   if (info.cause == AbortCause::Conflict) resolve_and_train(info);
 
@@ -631,7 +594,6 @@ sim::Cycle TxExecutor::irrev_step(sim::Cycle budget) {
   st.cycles_irrevocable += attempt_cycles_;
   st.tx_instrs += plain_interp_->instrs_executed();
   st.interp_instrs += plain_interp_->instrs_executed();
-  instrs_done_ += plain_interp_->instrs_executed();
   ++st.commits;  // a serialized execution still commits its atomic block
   st.h_tx_cycles.add(attempt_cycles_);
   // The serial execution counts as the final "attempt" after the failed
@@ -655,7 +617,7 @@ sim::Cycle TxExecutor::irrev_step(sim::Cycle budget) {
 }
 
 // ---------------------------------------------------------------------------
-// STM tier (DESIGN.md §16). Reached only when sys_.stm() != nullptr, so the
+// STM tier (DESIGN.md §13). Reached only when sys_.stm() != nullptr, so the
 // interpreter/env members are always live here.
 // ---------------------------------------------------------------------------
 
@@ -774,7 +736,6 @@ sim::Cycle TxExecutor::stm_commit_step() {
   st.cycles_useful_tx += attempt_cycles_;
   st.tx_instrs += stm_interp_->instrs_executed();
   st.interp_instrs += stm_interp_->instrs_executed();
-  instrs_done_ += stm_interp_->instrs_executed();
   st.h_tx_cycles.add(attempt_cycles_);
   st.h_tx_retries.add(total_attempts());
   if (auto* t = sys_.trace())
@@ -816,7 +777,6 @@ sim::Cycle TxExecutor::stm_abort(AbortCause cause) {
   }
   st.cycles_wasted_tx += attempt_cycles_;
   st.interp_instrs += stm_interp_->instrs_executed();
-  instrs_done_ += stm_interp_->instrs_executed();
 
   const bool will_glock = stm_attempts_ >= sys_.config().stm.retries;
   if (auto* t = sys_.trace())

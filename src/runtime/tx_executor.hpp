@@ -50,34 +50,6 @@ class TxExecutor {
   /// instructions still execute one per step.
   sim::Cycle step(sim::Cycle budget = 1);
 
-  /// True when the next step() call is guaranteed window-local: it touches
-  /// nothing outside this core's interpreter frames, own L1, own stats row,
-  /// and lines still private to this core. Pure-register runs always
-  /// qualify; with the STAGTM_PRIVATE classification on, so do calls,
-  /// inner returns, and loads/stores that hit a line private to this core
-  /// (see step_commutes). Everything else (begin/commit/abort handling,
-  /// shared-line accesses, lock spins, backoff) is a synchronizing step.
-  /// The parallel machine (sim/machine.hpp) consults this through
-  /// CoreTask::next_step_local.
-  bool next_step_local() const;
-
-  /// Monotone count of interpreter instructions this executor has retired
-  /// across all attempts and ops, including doomed (later-aborted) ones.
-  /// Host-side observability only (the parallel engine differences it
-  /// around step() calls to weight the window/drain split by work instead
-  /// of step-call count); never feeds back into simulated results.
-  std::uint64_t instrs_retired() const {
-    switch (state_) {
-      case State::kRunning: return instrs_done_ + spec_interp_->instrs_executed();
-      case State::kStmRunning:
-        return instrs_done_ + stm_interp_->instrs_executed();
-      case State::kIrrevRunning:
-        return instrs_done_ + plain_interp_->instrs_executed();
-      default:
-        return instrs_done_;
-    }
-  }
-
   sim::CoreId core() const { return core_; }
   TxSystem& system() { return sys_; }
 
@@ -99,14 +71,12 @@ class TxExecutor {
   class StmEnv;
   class PlainEnv;
 
-  /// Whether the next step commutes with every synchronizing step another
-  /// core could take: it reads and writes only this-core-local state. This
-  /// is the knob-INDEPENDENT core of the window classification, and it
-  /// also gates pending-abort observation in run_step — both the gate and
-  /// the classifier must use the same predicate, or enabling the knob
-  /// would change where a doomed transaction notices its abort. Valid only
-  /// in kRunning / kIrrevRunning.
-  bool step_commutes() const;
+  /// Whether a pending abort stamp waits out the next kRunning step: the
+  /// step touches only this core's state (a pure-register run, a call, an
+  /// inner return, or an L1 hit on a line still private to this core), so
+  /// the doomed attempt retires it and observes the abort at its next
+  /// other step (run_step).
+  bool abort_waits() const;
 
   sim::Cycle begin_attempt();
   /// kTxSched: whole-transaction serialization lock (§7 comparison). The
@@ -149,10 +119,6 @@ class TxExecutor {
 
   TxSystem& sys_;
   sim::CoreId core_;
-  /// Cached MemorySystem::private_classification() (config is immutable
-  /// after construction): gates only whether private-line hits classify as
-  /// window-local, never what they do.
-  bool private_windows_ = false;
   std::unique_ptr<SpecEnv> spec_env_;
   std::unique_ptr<StmEnv> stm_env_;      // null when the STM tier is off
   std::unique_ptr<PlainEnv> plain_env_;
@@ -179,12 +145,6 @@ class TxExecutor {
   bool spinning_on_alp_ = false;
   bool last_step_lock_wait_ = false;
   std::uint64_t result_ = 0;
-  /// Instructions retired by completed attempts (committed, aborted, or
-  /// irrevocable); the live interpreter's count is added on top in
-  /// instrs_retired(). Bumped at exactly the points where the per-attempt
-  /// interpreter counters are folded into MachineStats, i.e. before any
-  /// interpreter restart can reset them.
-  std::uint64_t instrs_done_ = 0;
 
   friend class SpecEnv;
   friend class StmEnv;

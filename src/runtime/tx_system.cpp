@@ -38,7 +38,6 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
                "TxSystem needs a compiled, finalized program");
   cfg_.mem.cores = cfg_.cores;
   machine_.set_step_fusion(cfg_.macrostep);
-  machine_.set_host_threads(cfg_.host_threads);
   if (cfg_.trace.enabled())
     trace_ = std::make_unique<obs::TraceSink>(
         cfg_.cores, cfg_.trace.cap_per_core, cfg_.trace.mask);
@@ -58,14 +57,13 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   if (prov_ != nullptr) heap_.set_site_tracking(true);
   // Privacy wiring, before any allocation (the glock below must be seeded
   // through on_alloc like everything else): the heap reports block extents,
-  // the HTM reports publications, and the memory system consumes both —
-  // escape materialization, fast paths, and window classification.
+  // the HTM reports publications, and the memory system counts and traces
+  // the escapes.
   heap_.set_privacy(&priv_);
   priv_.set_sink(mem_.get());
   mem_->set_privacy(&priv_);
   mem_->set_trace(trace_.get());
   mem_->set_clock([this] { return machine_.now(); });
-  mem_->set_window_probe([this] { return machine_.in_parallel_phase(); });
   htm_->set_privacy(&priv_);
   locks_ = std::make_unique<stagger::AdvisoryLockTable>(
       *htm_, cfg_.num_advisory_locks);

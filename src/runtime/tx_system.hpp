@@ -91,11 +91,6 @@ struct RuntimeConfig {
   /// cycle) into TxSystem's CommitLog for the serializability oracle. Off
   /// by default: no log is allocated and the commit path is unchanged.
   bool record_commits = false;
-  /// Host worker threads sharding the event loop (sim/machine.hpp's
-  /// parallel deterministic engine). Host-side only, like macrostep:
-  /// simulated results are bit-identical for any value (CI-enforced).
-  /// Defaults to the STAGTM_THREADS env knob (unset = 1 = serial loop).
-  unsigned host_threads = sim::Machine::default_host_threads();
   /// Checker-validation backdoor: compile out the lazy global-lock
   /// subscription read at commit. This deliberately reintroduces the
   /// unserializable executions lazy subscription is known to admit (Dice &

@@ -74,8 +74,7 @@ void L1Cache::check_log_invariants() const {
     const L1Line& l = lines_[spec_log_[p]];
     // A logged slot may transiently be invalid-but-marked: a cross-core
     // abort stamp invalidates the victim's written shared lines without
-    // touching its marks or log (the victim drains both at its next
-    // synchronizing step).
+    // touching its marks or log (the victim drains both when it aborts).
     ST_CHECK_MSG(l.speculative(), "logged slot is not speculative");
     ST_CHECK_MSG(l.log_pos == static_cast<std::int32_t>(p),
                  "speculative-line log position mismatch (duplicate entry?)");

@@ -165,8 +165,8 @@ class L1Cache {
 
   /// Invoke `fn(const L1Line&)` on every slot, valid or not. Differential
   /// sweeps need this: speculative marks outlive coherence validity on a
-  /// victim stamped by a cross-core abort (they drain at its own next
-  /// synchronizing step).
+  /// victim stamped by a cross-core abort (they drain when the victim
+  /// itself aborts).
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
     for (const auto& l : lines_) fn(l);

@@ -53,9 +53,8 @@ void MemorySystem::invalidate_remote(CoreId remote, Addr line, DirEntry& d) {
   if (L1Line* rl = l1_[remote]->find(line)) {
     // Coherence state only: if the line was speculative, the conflict check
     // just stamped the victim, and the victim drains its own marks and log
-    // at its next synchronizing step. Compacting the victim's log here —
-    // during the *requester's* step — would make the log's size transients
-    // (and hence spec_log_hwm) depend on engine interleaving.
+    // when it aborts, which is also where spec_log_hwm is recorded;
+    // compacting the log here would change that counter.
     rl->state = Coh::I;
   }
   d.sharers.clear(remote);
@@ -76,13 +75,11 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   ST_CHECK_MSG(line_addr(addr + size - 1) == line,
                "access crosses a cache line");
 
-  // Privacy classification. `is_private` is knob-independent (it feeds the
-  // priv_hits/priv_misses counters); `priv_fast` additionally requires the
-  // STAGTM_PRIVATE fast paths to be on. A foreign access reaching a
-  // still-private line should be impossible — addresses only cross cores
-  // through the publication channels the privacy map watches — but if one
-  // ever does (defensive), the access *is* the publication: escape first,
-  // then take the conservative path.
+  // Privacy observation: `is_private` feeds the priv_hits/priv_misses
+  // counters only. A foreign access reaching a still-private line should be
+  // impossible — addresses only cross cores through the publication
+  // channels the privacy map watches — but if one ever does (defensive),
+  // the access *is* the publication: escape first.
   bool is_private = false;
   if (priv_ != nullptr) {
     const int owner = priv_->private_owner(line);
@@ -92,7 +89,6 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
       is_private = owner >= 0;
     }
   }
-  const bool priv_fast = is_private && cfg_.private_lines;
 
   AccessOutcome out;
   out.latency = cfg_.l1_lat;
@@ -100,15 +96,6 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   L1Line* l = l1.find(line);
   const bool hit = l != nullptr &&
                    (kind == AccessKind::Load || coh_can_write(l->state));
-
-#ifndef NDEBUG
-  // Cross-check of the window-local classification: inside a parallel
-  // lookahead window every access must be exactly what next_step_local
-  // promised — an L1 hit on a line private to this core.
-  if (window_probe_ && window_probe_())
-    ST_CHECK_MSG(is_private && hit,
-                 "window-local access was not a private-line L1 hit");
-#endif
 
   if (hit) {
     ++stats_.core(c).l1_hits;
@@ -121,24 +108,7 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
     // Under lazy conflict detection, a *transactional* request defers its
     // conflicts to commit time; everything else stays eager.
     const bool check_conflicts = !(transactional && cfg_.lazy_conflicts);
-    if (priv_fast) {
-      // Private-line miss: the fast paths never create a directory entry
-      // for a private line and no other core can hold a copy, so the whole
-      // conservative walk below would find nothing — skip its directory
-      // probes. Latencies match the conservative path exactly (store: an
-      // entry-less line costs dir_lat + fill; load: fill only, since there
-      // is no owner to forward from).
-      if (kind == AccessKind::Store) {
-        ST_CHECK_MSG(check_conflicts,
-                     "lazy transactional stores must use tx_store_lazy");
-        // Private resident lines are E/M (store hits); a store miss means
-        // the line is absent, never a shared-state upgrade.
-        ST_CHECK(l == nullptr);
-        out.latency += cfg_.dir_lat + fill_latency(c, line);
-      } else {
-        out.latency += fill_latency(c, line);
-      }
-    } else if (kind == AccessKind::Store) {
+    if (kind == AccessKind::Store) {
       ST_CHECK_MSG(check_conflicts,
                    "lazy transactional stores must use tx_store_lazy");
       // Invalidate every other copy, aborting conflicting transactions
@@ -197,37 +167,26 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
           out.capacity_abort = true;
           return out;
         }
-        // A victim still private to this core has no directory entry to
-        // drop under the fast paths (none was ever created).
-        if (!(cfg_.private_lines && priv_ != nullptr &&
-              priv_->private_to(c, v->line)))
-          dir_drop(c, v->line);
+        dir_drop(c, v->line);
       }
       *v = L1Line{};
       v->line = line;
       l = v;
     }
-    if (priv_fast) {
-      // Directory-invisible install: a private line's conservative entry
-      // would be {sharers={c}, owner=c} — recomputable from the L1 alone,
-      // and materialized by on_line_escape if the line ever escapes.
-      l->state = (kind == AccessKind::Store) ? Coh::M : Coh::E;
+    // Re-probe: aborts and evictions above may have erased or relocated
+    // the entry, so the install path cannot reuse an earlier pointer.
+    ++stats_.core(c).dir_probes;
+    DirEntry& d2 = dir_.get_or_insert(line);
+    if (kind == AccessKind::Store) {
+      l->state = Coh::M;
+      d2.owner = static_cast<int>(c);
     } else {
-      // Re-probe: aborts and evictions above may have erased or relocated
-      // the entry, so the install path cannot reuse an earlier pointer.
-      ++stats_.core(c).dir_probes;
-      DirEntry& d2 = dir_.get_or_insert(line);
-      if (kind == AccessKind::Store) {
-        l->state = Coh::M;
-        d2.owner = static_cast<int>(c);
-      } else {
-        SharerMask others = d2.sharers;
-        others.clear(c);
-        l->state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
-        if (l->state == Coh::E) d2.owner = static_cast<int>(c);
-      }
-      d2.sharers.set(c);
+      SharerMask others = d2.sharers;
+      others.clear(c);
+      l->state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
+      if (l->state == Coh::E) d2.owner = static_cast<int>(c);
     }
+    d2.sharers.set(c);
   }
 
   l1.touch(*l);
@@ -257,17 +216,6 @@ AccessOutcome MemorySystem::tx_store_lazy(CoreId c, Addr addr, unsigned size,
 
 Cycle MemorySystem::publish_line(CoreId c, Addr line) {
   line = line_addr(line);
-  if (private_classification() && priv_->private_to(c, line)) {
-    // Committing a write to a still-private line: nobody else can hold a
-    // copy and the fast paths keep it directory-invisible, so the whole
-    // conservative walk reduces to the local M upgrade. Same dir_lat the
-    // conservative path charges. (Whether the committed *value* publishes
-    // an address is the HTM drain's concern, not this line's.)
-    L1Line* l = l1_[c]->find(line);
-    ST_CHECK_MSG(l != nullptr, "publishing a line not in the committer's L1");
-    l->state = Coh::M;
-    return cfg_.dir_lat;
-  }
   Cycle lat = cfg_.dir_lat;
   // Same probe-hoisting discipline as the store-invalidate loop in access().
   DirEntry* e = dir_probe(c, line);
@@ -319,10 +267,7 @@ void MemorySystem::clear_speculative(CoreId c, bool invalidate_written) {
   l1.drain_speculative([&](L1Line& l) {
     if (l.tx_write && invalidate_written) {
       l.state = Coh::I;
-      // Still-private speculative lines were installed directory-invisible
-      // by the fast paths; there is no entry to drop.
-      if (!(private_classification() && priv_->private_to(c, l.line)))
-        dir_drop(c, l.line);
+      dir_drop(c, l.line);
     }
   });
 }
@@ -332,10 +277,8 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
     if (!l.tx_write) return;
     // Lines still private to the victim are exempt: no requester can name
     // one (the defensive publish in access() escapes a line *before* any
-    // foreign access reaches the conflict check), and the victim's
-    // window-local classification depends on their residency staying put
-    // until its own abort step. Knob-independent predicate (priv_ presence,
-    // not private_classification()) so off/on runs stay byte-identical.
+    // foreign access reaches the conflict check), and the doomed victim
+    // keeps hitting them until it observes the abort (HtmSystem::load).
     if (priv_ != nullptr && priv_->private_to(c, l.line)) return;
     l.state = Coh::I;
     dir_drop(c, l.line);
@@ -345,20 +288,6 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
 void MemorySystem::on_line_escape(CoreId publisher, Addr line, CoreId owner,
                                   std::uint32_t pc) {
   ++stats_.core(publisher).priv_escapes;
-  if (cfg_.private_lines) {
-    // While the line was private the fast paths skipped its directory
-    // bookkeeping; recreate exactly the entry the conservative path would
-    // have now that other cores may probe for it. Private resident lines
-    // are E/M, so the entry is always {sharers={owner}, owner=owner}; an
-    // absent line has no entry either way. Not counted in dir_probes: this
-    // is deferred bookkeeping, not a modeled directory round trip.
-    const L1Cache& l1 = *l1_[owner];
-    if (l1.find(line) != nullptr) {
-      DirEntry& d = dir_.get_or_insert(line);
-      d.sharers.set(owner);
-      d.owner = static_cast<int>(owner);
-    }
-  }
   if (trace_ != nullptr) {
     obs::TraceEvent e;
     e.at = clock_ ? clock_() : 0;
@@ -388,9 +317,6 @@ void MemorySystem::check_invariants() const {
   for (unsigned c = 0; c < cfg_.cores; ++c) l1_[c]->check_log_invariants();
   dir_.for_each([&](Addr line, const DirEntry& d) {
     ST_CHECK_MSG(d.sharers.any(), "directory entry with no sharers");
-    if (private_classification())
-      ST_CHECK_MSG(priv_->private_owner(line) == -1,
-                   "directory entry for a still-private line");
     if (d.owner >= 0)
       ST_CHECK_MSG(d.sharers.test(static_cast<CoreId>(d.owner)),
                    "owner not in sharer set");

@@ -43,12 +43,6 @@ struct MemConfig {
   /// commit time via publish_line (committer wins). Nontransactional and
   /// plain accesses stay eager — they act on committed state immediately.
   bool lazy_conflicts = false;
-  /// STAGTM_PRIVATE: enable the private-line fast paths (skip directory
-  /// bookkeeping for lines still private to their arena's core) and the
-  /// parallel engine's window-local classification of private-line hits.
-  /// The privacy map itself is maintained either way, and all simulated
-  /// results are bit-identical off/on (CI-enforced).
-  bool private_lines = default_private_lines();
 };
 
 enum class AccessKind : std::uint8_t { Load, Store };
@@ -83,42 +77,20 @@ class MemorySystem : public LineEscapeSink {
   void set_conflict_sink(ConflictSink* sink) { sink_ = sink; }
 
   /// Wire the per-line privacy map (null = no tracking, the standalone-test
-  /// configuration: every path behaves exactly as before). The map must be
-  /// registered as this object's escape sink by the owner.
+  /// configuration). The map is an observer: it feeds the priv_* counters
+  /// and kLineEscape events but never changes a coherence action. The map
+  /// must be registered as this object's escape sink by the owner.
   void set_privacy(PrivacyMap* priv) { priv_ = priv; }
   const PrivacyMap* privacy() const { return priv_; }
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
   void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
-  /// Debug cross-check hook: returns true while the parallel engine is
-  /// inside a lookahead window, where every access must be a private-line
-  /// L1 hit (that is what the window classification promised).
-  void set_window_probe(std::function<bool()> probe) {
-    window_probe_ = std::move(probe);
-  }
 
-  /// True when `addr`'s line is still private to core `c` *and* resident in
-  /// c's L1. Private resident lines are always E or M (no other core can
-  /// have installed a copy), so such an access is a guaranteed hit — load
-  /// or store — that reads and writes no shared simulator state. This is
-  /// the window-local classification predicate; it is knob-independent.
-  bool private_hit(CoreId c, Addr addr) const {
-    if (priv_ == nullptr) return false;
-    const Addr line = line_addr(addr);
-    // Const find: no MRU-hint update, so the probe is a pure read (it runs
-    // concurrently across cores inside parallel windows).
-    const L1Cache& l1 = *l1_[c];
-    return priv_->private_to(c, line) && l1.find(line) != nullptr;
-  }
+  /// True when a privacy map is wired. Read by nothing in the simulator;
+  /// kept because the benchmark harness (perfbench/) still calls it.
+  bool private_classification() const { return priv_ != nullptr; }
 
-  /// Whether the private-line fast paths / window classification are on.
-  bool private_classification() const {
-    return priv_ != nullptr && cfg_.private_lines;
-  }
-
-  /// LineEscapeSink: a line just went private->shared. Counts the escape,
-  /// materializes the directory entry the conservative path would have had
-  /// (when the fast paths were skipping its bookkeeping), and emits the
-  /// kLineEscape trace event.
+  /// LineEscapeSink: a line just went private->shared. Counts the escape
+  /// and emits the kLineEscape trace event.
   void on_line_escape(CoreId publisher, Addr line, CoreId owner,
                       std::uint32_t pc) override;
 
@@ -162,12 +134,9 @@ class MemorySystem : public LineEscapeSink {
   /// speculatively WRITTEN *shared* lines so the requester's access misses
   /// the stale copy, but leaves the speculative marks, the log (and hence
   /// the footprint high-water mark), and every line still private to the
-  /// victim untouched. A stamp executes during the *requester's* step, so
-  /// it must not mutate anything the victim's window-local steps read —
-  /// private-line residency above all (window stability, DESIGN §14). No
-  /// requester can name a private line, so exempting them is safe; the
-  /// victim's own abort() does the full drain at its next synchronizing
-  /// step.
+  /// victim untouched. No requester can name a private line, and the
+  /// victim keeps retiring hits on them until it observes the abort
+  /// (HtmSystem::load/store); its own abort() does the full drain.
   void invalidate_speculative_writes(CoreId c);
 
   /// Number of speculative lines currently held by core c. O(1).
@@ -217,7 +186,6 @@ class MemorySystem : public LineEscapeSink {
   PrivacyMap* priv_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::function<Cycle()> clock_;
-  std::function<bool()> window_probe_;
   std::vector<std::unique_ptr<L1Cache>> l1_;
   std::vector<std::unique_ptr<TagCache>> l2_;
   TagCache l3_;

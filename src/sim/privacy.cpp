@@ -3,16 +3,9 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "sim/heap.hpp"
 
 namespace st::sim {
-
-bool default_private_lines() {
-  // Re-read per call (sampled at config construction), same contract as
-  // Machine::default_host_threads: no process-wide latch.
-  return env_onoff("STAGTM_PRIVATE", true);
-}
 
 PrivacyMap::PrivacyMap(const Heap& heap)
     : heap_(heap),

@@ -7,16 +7,19 @@
 // channel). PrivacyMap watches exactly those publication points: when a
 // value that looks like a pointer into a still-private block is published,
 // the whole block irrevocably *escapes* to shared, and everything its
-// committed contents point to escapes transitively. Publications only
-// happen inside synchronizing (drain) steps of the parallel engine
-// (DESIGN.md §13/§14), so privacy observed at a window start is stable for
-// the whole window — the invariant that lets private-line L1 hits classify
-// window-local, and lets the serial path skip directory bookkeeping for
-// them (a private line can never conflict, by construction).
+// committed contents point to escapes transitively.
+//
+// Beyond observation (the priv_hits/priv_misses/priv_escapes counters,
+// kLineEscape trace events and blame attribution), the map carries one
+// piece of simulated semantics: a doomed transaction keeps retiring L1 hits
+// on lines still private to its core until it observes a pending abort
+// (HtmSystem::private_hit), and a requester's abort stamp leaves those
+// lines in place (MemorySystem::invalidate_speculative_writes). The access
+// path takes one coherence path for private and shared lines alike.
 //
 // The map is deliberately conservative in one direction only: an integer
 // that happens to look like a private address over-escapes a block (safe —
-// it merely loses the fast path); a real published pointer is never
+// the block is merely counted as shared); a real published pointer is never
 // missed, because every store to shared memory, every drained commit
 // chunk, every commit result, and every host-dispatched op argument is
 // checked. A foreign access that somehow reaches a private line anyway
@@ -34,8 +37,7 @@ namespace st::sim {
 class Heap;
 
 /// Observer of private->shared transitions, implemented by the memory
-/// system: it materializes the directory entry the conservative path would
-/// have had, counts the escape, and emits the trace event.
+/// system: it counts the escape and emits the trace event.
 class LineEscapeSink {
  public:
   virtual ~LineEscapeSink() = default;
@@ -47,9 +49,10 @@ class LineEscapeSink {
                               std::uint32_t pc) = 0;
 };
 
-/// Snapshot of privacy counters for end-of-run reporting (host_par JSON).
+/// Snapshot of privacy counters for end-of-run reporting (the "privacy"
+/// object of STAGTM_JSON).
 struct PrivacyStats {
-  bool enabled = false;          // was the classification/fast path on?
+  bool enabled = false;          // was a map wired to the memory system?
   std::uint64_t escaped_lines = 0;
   std::uint64_t publish_checks = 0;
   std::vector<std::uint64_t> arena_escapes;  // per worker arena
@@ -141,11 +144,5 @@ class PrivacyMap {
   std::vector<std::uint64_t> arena_escapes_;
   std::vector<Addr> work_;  // reused transitive-escape worklist
 };
-
-/// Default for the STAGTM_PRIVATE knob (off|on / 0|1; unset = on): gates
-/// the window-local classification and the directory fast paths. The map
-/// itself is always maintained, so simulated results are bit-identical
-/// either way (CI-enforced).
-bool default_private_lines();
 
 }  // namespace st::sim

@@ -65,12 +65,10 @@ struct CoreStats {
   std::uint64_t dir_probes = 0;
   std::uint64_t spec_log_hwm = 0;
 
-  // Privacy classification (sim/privacy.hpp): accesses that touched a line
+  // Privacy observation (sim/privacy.hpp): accesses that touched a line
   // still private to this core (hit/miss split), and private->shared line
-  // escapes triggered by this core's publications. Maintained whether or
-  // not the STAGTM_PRIVATE fast paths are on, so the counts are knob- and
-  // thread-count-independent; like dir_probes they observe the simulation
-  // without affecting any simulated result.
+  // escapes triggered by this core's publications. Like dir_probes they
+  // observe the simulation without affecting any simulated result.
   std::uint64_t priv_hits = 0;
   std::uint64_t priv_misses = 0;
   std::uint64_t priv_escapes = 0;

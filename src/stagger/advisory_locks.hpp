@@ -5,13 +5,6 @@
 // nontransactional accesses, so holding one never joins a transaction's
 // read/write set and a lock survives (and is explicitly released after) an
 // abort. At most one advisory lock is held per core at a time.
-//
-// Window-safety contract (sim/machine.hpp parallel engine, DESIGN.md §13):
-// every lock-table mutation (try_acquire, release) happens inside a
-// boundary/ALPoint step, which the engine classifies as synchronizing and
-// executes serially in (clock, id) order on the main thread. Lock state is
-// therefore never touched concurrently by parallel-window workers, which
-// only run fused pure-register instruction sequences.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// TL2-style software transactional memory tier (DESIGN.md §16).
+// TL2-style software transactional memory tier (DESIGN.md §13).
 //
 // A global-version-clock STM in the Dice/Shalev/Shavit "Transactional
 // Locking II" lineage, used by the transaction executor as a middle
@@ -11,10 +11,10 @@
 // STAGTM_STM_ORECS ownership records (orecs), all allocated line-aligned
 // from the heap's setup arena and accessed through the simulated memory
 // system — orec reads, lock CASes, the clock bump, and the redo-log
-// writeback are real coherent accesses with real latencies, performed only
-// at synchronizing steps so the deterministic serial and parallel engines
-// stay bit-identical at any STAGTM_THREADS (the determinism argument is in
-// DESIGN.md §16).
+// writeback are real coherent accesses with real latencies, each one a step
+// of the deterministic event loop like any other memory access, so a
+// (config, seed) reproduces bit-for-bit (DESIGN.md §13 covers the
+// coexistence rules).
 //
 // Orec encoding: an unlocked orec holds `version << 1`; a locked orec holds
 // `(saved_version << 1) | 1`. The owner and saved version are tracked
@@ -125,7 +125,7 @@ class StmSystem {
 
   /// TL2 read: orec precheck (abort on locked or version > rv — opacity),
   /// coherent data load, redo-log overlay (reads-own-writes), read-set
-  /// append. One synchronizing step.
+  /// append. One event-loop step.
   Op read(CoreId c, Addr a, unsigned size, std::uint32_t pc);
 
   /// Deferred write: byte-masked append to the redo log plus Bloom update.

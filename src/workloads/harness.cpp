@@ -54,20 +54,6 @@ class WorkloadThread final : public sim::CoreTask {
 
   bool done() const override { return finished_; }
 
-  /// Window-local iff the executor's next step is a fused pure-register
-  /// run. Think-time scheduling, op dispatch, and result collection all
-  /// touch the workload/stats/RNG, so they stay synchronizing steps.
-  bool next_step_local(const sim::Machine&, sim::CoreId) const override {
-    return !finished_ && active_ && !exec_.finished() &&
-           exec_.next_step_local();
-  }
-
-  /// Think-time dispatch retires no interpreter instructions, so the
-  /// executor's monotone counter is the whole story for this task.
-  std::uint64_t instrs_retired() const override {
-    return exec_.instrs_retired();
-  }
-
  private:
   runtime::TxSystem& sys_;
   Workload& wl_;
@@ -158,8 +144,6 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   rt.policy = opt.policy;
   rt.policy.addr_only = opt.scheme == runtime::Scheme::kAddrOnly;
   rt.macrostep = opt.macrostep;
-  rt.host_threads = opt.host_threads;
-  rt.mem.private_lines = opt.private_lines;
   rt.record_commits = opt.checked;
   rt.unsafe_skip_subscription = opt.unsafe_skip_subscription;
   rt.trace = obs::TraceConfig::from_env();
@@ -290,9 +274,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)
                   .count();
-  r.host_threads = sys.machine().host_threads();
-  r.par = sys.machine().par_stats();
-  r.privacy = sys.privacy().snapshot(sys.mem().private_classification());
+  r.privacy = sys.privacy().snapshot(sys.mem().privacy() != nullptr);
   return r;
 }
 

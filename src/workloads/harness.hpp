@@ -32,7 +32,7 @@ struct RunOptions {
   /// entirely. Defaults to the STAGTM_MAX_RETRIES env knob.
   unsigned max_retries = default_max_retries();
   unsigned history_len = 8;
-  /// TL2 STM fallback tier (src/stm, DESIGN.md §16). Defaults to the
+  /// TL2 STM fallback tier (src/stm, DESIGN.md §13). Defaults to the
   /// STAGTM_STM / STAGTM_STM_RETRIES / STAGTM_STM_ORECS env knobs; off by
   /// default, in which case simulated results are byte-identical to builds
   /// without the tier.
@@ -42,21 +42,12 @@ struct RunOptions {
   /// changes simulated results — exists so differential tests can compare
   /// fused vs single-stepped executions in one process. On by default.
   bool macrostep = sim::Machine::default_step_fusion();
-  /// Host worker threads sharding the event loop (sim/machine.hpp parallel
-  /// deterministic engine, DESIGN.md §13). Host-side like macrostep:
-  /// simulated results are bit-identical for any value (CI-enforced).
-  /// Defaults to the STAGTM_THREADS env knob (unset = 1 = serial loop);
-  /// the runner caps jobs x host_threads at hardware concurrency.
-  unsigned host_threads = sim::Machine::default_host_threads();
+  /// Read by nothing: every simulation runs on one host thread. Kept only
+  /// because the benchmark harness (perfbench/) still assigns it.
+  unsigned host_threads = 1;
   /// Interpreter execution tier (interp/jit.hpp). Not an option: the
   /// interpreter has one tier, and this constant only names it.
   static constexpr interp::JitConfig jit{};
-  /// Private-line window classification (sim/privacy.hpp, DESIGN.md §14).
-  /// Host-side like macrostep: whether private-line hits classify as
-  /// window-local (and take the directory-skipping fast paths) never
-  /// changes a simulated result (CI-enforced byte-identical off vs on).
-  /// Defaults to the STAGTM_PRIVATE env knob (unset = on).
-  bool private_lines = sim::default_private_lines();
   stagger::PolicyConfig policy;  // addr_only is set automatically
   /// Override the instrumentation mode (default: what the scheme implies).
   /// kAll + kStaggered reproduces Table 3's naive instrument-everything
@@ -106,25 +97,17 @@ struct RunResult {
   unsigned static_loads_stores = 0;   // Table 3 statics
   unsigned static_anchors = 0;
   unsigned atomic_blocks = 0;
-  /// Host wall-clock time this run took (not simulated time; like the
-  /// par/host_threads fields below it is host-side only — everything above
-  /// is bit-reproducible).
+  /// Host wall-clock time this run took (not simulated time; host-side
+  /// only — everything above is bit-reproducible).
   double wall_ms = 0;
-  /// Effective host worker-thread count the machine ran with (after any
-  /// runner oversubscription cap) and the parallel engine's host-side
-  /// counters (windows, window/drain step split, barrier waits). All
-  /// host-side: excluded from differential comparisons.
-  unsigned host_threads = 1;
-  sim::ParStats par;
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
-  /// per-arena escapes). The map itself is knob- and thread-independent;
-  /// only `enabled` records whether classification was on.
+  /// per-arena escapes).
   sim::PrivacyStats privacy;
   /// Schedule-perturbation provenance ("off" when no perturbation ran).
   std::string sched_mode = "off";
   std::uint64_t sched_seed = 0;
   /// Conflict-provenance summary (host-side observer output, excluded from
-  /// differential comparisons like host_threads/par). Meaningful only when
+  /// differential comparisons like wall_ms). Meaningful only when
   /// prov_enabled; prof_path names the binary file for stagtm-prof.
   bool prov_enabled = false;
   std::string prof_path;

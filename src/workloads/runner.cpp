@@ -1,8 +1,5 @@
 #include "workloads/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -11,29 +8,6 @@
 #include "obs/trace.hpp"
 
 namespace st::workloads {
-
-namespace {
-
-/// Caps a job's host_threads so jobs x host_threads never oversubscribes
-/// the host: two layers of parallelism (the pool AND the per-simulation
-/// engine) multiplying past hardware_concurrency only adds contention.
-/// Purely a host-side throttle — simulated results are identical for any
-/// host_threads value, so capping can never change an experiment.
-unsigned capped_host_threads(unsigned requested, unsigned jobs) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (requested <= 1 || hw == 0 || jobs == 0) return requested;
-  if (static_cast<std::uint64_t>(requested) * jobs <= hw) return requested;
-  const unsigned capped = std::max(1u, hw / jobs);
-  static std::atomic<bool> noted{false};
-  if (!noted.exchange(true))
-    std::fprintf(stderr,
-                 "[runner: capping STAGTM_THREADS %u -> %u: %u jobs x %u "
-                 "host threads exceeds hardware concurrency %u]\n",
-                 requested, capped, jobs, requested, hw);
-  return capped;
-}
-
-}  // namespace
 
 unsigned ExperimentRunner::default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -86,8 +60,6 @@ std::size_t ExperimentRunner::submit(ExperimentJob job) {
         job.options.prof_path =
             obs::uniquify_trace_path(env_prov.path, slots_.size());
     }
-    job.options.host_threads =
-        capped_host_threads(job.options.host_threads, jobs());
     auto slot = std::make_unique<Slot>();
     slot->job = std::move(job);
     slots_.push_back(std::move(slot));

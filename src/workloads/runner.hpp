@@ -3,11 +3,8 @@
 // Every experiment in this repository is a self-contained discrete-event
 // simulation (the TxSystem owns all of its state and every source of
 // randomness flows through the per-run seed), so a sweep of N (workload,
-// RunOptions) jobs parallelizes trivially across host cores. A single
-// simulation may itself use host threads (RunOptions::host_threads, the
-// sim/machine.hpp parallel engine); submit() caps jobs x host_threads at
-// hardware_concurrency (once-per-process stderr note) so the two layers of
-// parallelism never oversubscribe the host.
+// RunOptions) jobs parallelizes trivially across host cores; each
+// simulation runs on the one worker thread that picked it up.
 // The runner guarantees:
 //   * results come back in submission order;
 //   * a parallel batch is bit-identical to running the same jobs serially

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <thread>
+#include <vector>
+
+#include "interp/interp.hpp"
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "multicore.hpp"
 
 namespace st::ir {
 namespace {
@@ -217,6 +223,93 @@ TEST(CallGraphs, AtomicBlockRegistration) {
   b.ret();
   EXPECT_EQ(m.add_atomic_block(b.function()), 0u);
   EXPECT_EQ(m.atomic_blocks().size(), 1u);
+}
+
+/// Memory-free env: the functions below only compute and call.
+struct PureEnv final : interp::ExecEnv {
+  Mem load(sim::Addr, unsigned, std::uint32_t) override { return {}; }
+  Mem store(sim::Addr, std::uint64_t, unsigned, std::uint32_t) override {
+    return {};
+  }
+  Mem nt_load(sim::Addr, unsigned) override { return {}; }
+  Mem nt_store(sim::Addr, std::uint64_t, unsigned) override { return {}; }
+  Mem alloc(const StructType*, sim::Addr& out, std::uint32_t) override {
+    out = 0;
+    return {};
+  }
+  void free_(sim::Addr) override {}
+  AlpResult alpoint(std::uint32_t, sim::Addr, std::uint32_t) override {
+    return {};
+  }
+};
+
+struct InterpRun {
+  std::uint64_t result = 0;
+  std::uint64_t instrs = 0;
+  sim::Cycle cycles = 0;
+  bool operator==(const InterpRun&) const = default;
+};
+
+InterpRun run_interp(const Function* f, std::uint64_t arg,
+                     sim::Cycle budget) {
+  PureEnv env;
+  interp::Interp it(env);
+  it.start(f, std::vector<std::uint64_t>{arg});
+  InterpRun r;
+  for (;;) {
+    const auto s = it.step(budget);
+    r.cycles += s.cycles;
+    if (s.finished) break;
+  }
+  r.result = it.result();
+  r.instrs = it.instrs_executed();
+  return r;
+}
+
+/// Interpreters on several host threads share one finalized module, and
+/// their first calls into a shared callee happen together. Decoded code is
+/// built once at Module::finalize, so the threads only ever read it: every
+/// thread must reproduce the single-threaded result, instruction count and
+/// cycle total exactly (and TSan must see no race).
+TEST(Module, ConcurrentReadersOfFinalizedModule) {
+  ST_SKIP_WITHOUT_MULTICORE();
+  Module m;
+  FunctionBuilder leaf(m, "leaf", {nullptr});
+  leaf.ret(leaf.xor_(leaf.mul(leaf.param(0), leaf.const_i(2654435761)),
+                     leaf.const_i(0x5a5a)));
+  FunctionBuilder mid(m, "mid", {nullptr});
+  mid.ret(mid.add(mid.call(leaf.function(), {mid.param(0)}),
+                  mid.call(leaf.function(), {mid.add(mid.param(0),
+                                                     mid.const_i(1))})));
+  FunctionBuilder top(m, "top", {nullptr});
+  const Reg i = top.var(top.const_i(0));
+  const Reg acc = top.var(top.const_i(0));
+  top.while_([&] { return top.cmp_slt(i, top.param(0)); },
+             [&] {
+               top.assign(acc, top.add(acc, top.call(mid.function(), {i})));
+               top.assign(i, top.add(i, top.const_i(1)));
+             });
+  top.ret(acc);
+  m.finalize();
+
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kIters = 2000;
+  const sim::Cycle budgets[kThreads] = {1, 3, 64, sim::Cycle{1} << 20};
+  std::vector<InterpRun> got(kThreads);
+  std::barrier start(kThreads);
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = run_interp(top.function(), kIters, budgets[t]);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  const InterpRun want = run_interp(top.function(), kIters, 1);
+  EXPECT_GT(want.instrs, 6 * kIters);  // three calls and returns per iteration
+  for (unsigned t = 0; t < kThreads; ++t)
+    EXPECT_EQ(got[t], want) << "thread " << t << " budget " << budgets[t];
 }
 
 }  // namespace

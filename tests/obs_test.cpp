@@ -553,14 +553,5 @@ TEST(ObsEnv, TraceKnobsParse) {
   EXPECT_EQ(off.mask, kAllEvents);
 }
 
-TEST(ObsEnvDeath, EnvFlag01RejectsJunk) {
-  ASSERT_EQ(setenv("STAGTM_TEST_FLAG", "yes", 1), 0);
-  EXPECT_EXIT(env_flag01("STAGTM_TEST_FLAG", false),
-              ::testing::ExitedWithCode(2), "STAGTM_TEST_FLAG must be 0 or 1");
-  unsetenv("STAGTM_TEST_FLAG");
-  EXPECT_FALSE(env_flag01("STAGTM_TEST_FLAG", false));
-  EXPECT_TRUE(env_flag01("STAGTM_TEST_FLAG", true));
-}
-
 }  // namespace
 }  // namespace st::obs

@@ -572,18 +572,6 @@ void expect_same_simulation(const workloads::RunResult& a,
   EXPECT_DOUBLE_EQ(a.conflict_pc_locality, b.conflict_pc_locality);
 }
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
 TEST(ProvDifferential, ProvenanceDoesNotPerturbSimulatedResults) {
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;
@@ -613,29 +601,6 @@ TEST(ProvDifferential, ProvenanceDoesNotPerturbSimulatedResults) {
   EXPECT_EQ(blames, on.totals.total_aborts());
   EXPECT_EQ(d.blame_dropped(), 0u);
   EXPECT_EQ(on.prov.blame_records, blames);
-}
-
-TEST(ProvDifferential, HostThreadCountDoesNotChangeProfFile) {
-  workloads::RunOptions o;
-  o.scheme = runtime::Scheme::kStaggered;
-  o.threads = 4;
-  o.ops_scale = 0.05;
-  const std::string p1 = tmp_path("prov_host1.prf");
-  const std::string p2 = tmp_path("prov_host2.prf");
-  o.host_threads = 1;
-  o.prof_path = p1;
-  const auto serial = workloads::run_workload("list-hi", o);
-  o.host_threads = 2;
-  o.prof_path = p2;
-  const auto parallel = workloads::run_workload("list-hi", o);
-  expect_same_simulation(serial, parallel);
-  // Every hook fires in a synchronizing step, so the files are
-  // byte-identical — not merely equivalent.
-  const std::string b1 = slurp(p1), b2 = slurp(p2);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-  ASSERT_FALSE(b1.empty());
-  EXPECT_TRUE(b1 == b2) << "prof files differ across STAGTM_THREADS";
 }
 
 TEST(ProvDifferential, TinyRingStillDoesNotPerturbResults) {

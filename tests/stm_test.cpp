@@ -1,8 +1,8 @@
 // src/stm: the TL2 fallback tier. Orec-word encoding and index hashing,
 // Bloom summaries, STAGTM_STM_* / STAGTM_MAX_RETRIES env contracts, direct
 // executor-level hybrid runs, and the workload-level hybrid matrix:
-// determinism across host threads, serializability via the
-// serial-replay oracle, and tier accounting in commit logs and counters.
+// serializability via the serial-replay oracle, and tier accounting in
+// commit logs and counters.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,7 +11,6 @@
 #include "check/check.hpp"
 #include "check/oracle.hpp"
 #include "ir/builder.hpp"
-#include "multicore.hpp"
 #include "stm/stm.hpp"
 #include "test_util.hpp"
 
@@ -374,61 +373,26 @@ TEST(StmHybrid, StmOnlyModePassesOracle) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 
-TEST(StmHybrid, DeterministicAcrossHostThreads) {
-  // The tentpole determinism claim: with the STM tier live (forced via a
-  // zero HTM budget so every commit exercises orec traffic), simulated
-  // results are bit-identical for any host-thread count.
-  ST_SKIP_WITHOUT_MULTICORE();
-  auto ref_o = hybrid_opts(true, 4, 0.04);
-  ref_o.max_retries = 0;
-  ref_o.checked = true;
-  ref_o.host_threads = 1;
-  const auto ref = workloads::run_workload("list-hi", ref_o);
-  ASSERT_TRUE(ref.invariant_failure.empty()) << ref.invariant_failure;
-  ASSERT_NE(ref.commit_log, nullptr);
-  for (const unsigned ht : {2u, 4u}) {
-    auto o = ref_o;
-    o.host_threads = ht;
-    const auto r = workloads::run_workload("list-hi", o);
-    ASSERT_EQ(r.cycles, ref.cycles) << "ht=" << ht;
-    ASSERT_EQ(r.state_digest, ref.state_digest) << "ht=" << ht;
-    ASSERT_NE(r.commit_log, nullptr);
-    ASSERT_EQ(r.commit_log->size(), ref.commit_log->size());
-    for (std::size_t i = 0; i < ref.commit_log->size(); ++i) {
-      const auto& a = (*ref.commit_log)[i];
-      const auto& b = (*r.commit_log)[i];
-      ASSERT_EQ(a.cycle, b.cycle) << i;
-      ASSERT_EQ(a.core, b.core) << i;
-      ASSERT_EQ(a.ab_id, b.ab_id) << i;
-      ASSERT_EQ(a.tier, b.tier) << i;
-      ASSERT_EQ(a.result, b.result) << i;
-    }
-  }
-}
-
 TEST(StmHybrid, DifferentialMatrixAcrossWorkloads) {
-  // Per-workload spot of the full off/on x eager/lazy matrix at host
-  // threads 1 vs 4: a cheap digest-level determinism sweep over the whole
-  // suite (the focused test above checks full commit logs on list-hi).
-  ST_SKIP_WITHOUT_MULTICORE();
+  // Per-workload sweep of the STM off/on x eager/lazy matrix: every cell
+  // keeps the workload's invariants, commits every op, and leaves the STM
+  // tier idle when it is off.
   for (const auto& [name, factory] : workloads::workload_registry()) {
     (void)factory;
     for (const bool stm_on : {false, true}) {
       for (const bool lazy : {false, true}) {
-        auto a = hybrid_opts(stm_on, 4, 0.02);
-        a.lazy_htm = lazy;
-        a.checked = true;
-        a.host_threads = 1;
-        auto b = a;
-        b.host_threads = 4;
-        const auto ra = workloads::run_workload(name, a);
-        const auto rb = workloads::run_workload(name, b);
-        ASSERT_EQ(ra.cycles, rb.cycles)
+        auto o = hybrid_opts(stm_on, 4, 0.02);
+        o.lazy_htm = lazy;
+        o.checked = true;
+        const auto r = workloads::run_workload(name, o);
+        ASSERT_TRUE(r.invariant_failure.empty())
+            << name << " stm=" << stm_on << " lazy=" << lazy << ": "
+            << r.invariant_failure;
+        ASSERT_EQ(r.totals.commits, r.total_ops)
             << name << " stm=" << stm_on << " lazy=" << lazy;
-        ASSERT_EQ(ra.state_digest, rb.state_digest)
-            << name << " stm=" << stm_on << " lazy=" << lazy;
-        ASSERT_EQ(ra.totals.commits, rb.totals.commits);
-        ASSERT_EQ(ra.totals.stm_commits, rb.totals.stm_commits);
+        if (!stm_on) {
+          ASSERT_EQ(r.totals.stm_commits, 0u) << name;
+        }
       }
     }
   }

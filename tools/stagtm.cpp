@@ -176,31 +176,11 @@ int main(int argc, char** argv) {
               r.conflict_addr_locality, r.conflict_pc_locality);
   std::printf("energy     %.0f (arbitrary units; spin 0.3x, backoff 0.2x)\n",
               r.energy_estimate());
-  // Host-side engine/privacy report goes to stderr: stdout carries only
-  // simulated results and is byte-compared across STAGTM_THREADS and
-  // STAGTM_PRIVATE by CI.
-  if (r.host_threads > 1) {
-    const unsigned long long w = r.par.window_steps;
-    const unsigned long long d = r.par.drain_steps;
-    const unsigned long long wi = r.par.window_instrs;
-    const unsigned long long di = r.par.drain_instrs;
-    // Two window fractions: step-call-weighted (each drain step retires at
-    // most one instruction; each window step retires a whole fused run, so
-    // this one understates window work) and instruction-weighted (the
-    // honest Amdahl proxy for the host-side serial section).
-    std::fprintf(stderr,
-                 "[engine: host_threads=%u windows=%llu window_steps=%llu "
-                 "drain_steps=%llu window_fraction=%.2f "
-                 "window_instrs=%llu drain_instrs=%llu "
-                 "window_fraction_instr=%.2f]\n",
-                 r.host_threads, static_cast<unsigned long long>(r.par.windows),
-                 w, d, w + d ? static_cast<double>(w) / (w + d) : 0.0, wi, di,
-                 wi + di ? static_cast<double>(wi) / (wi + di) : 0.0);
-  }
+  // The privacy report goes to stderr: stdout carries only the simulated
+  // results.
   std::fprintf(stderr,
-               "[privacy: classification=%s escaped_lines=%llu "
-               "publish_checks=%llu priv_hits=%llu dir_probes=%llu]\n",
-               r.privacy.enabled ? "on" : "off",
+               "[privacy: escaped_lines=%llu publish_checks=%llu "
+               "priv_hits=%llu dir_probes=%llu]\n",
                static_cast<unsigned long long>(r.privacy.escaped_lines),
                static_cast<unsigned long long>(r.privacy.publish_checks),
                static_cast<unsigned long long>(t.priv_hits),
