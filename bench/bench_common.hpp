@@ -14,12 +14,12 @@
 //   STAGTM_JOBS    — host worker threads, one per simulation (default:
 //     hardware concurrency; never changes stdout or simulated results)
 //   STAGTM_JSON    — if set, write machine-readable results to this path
-//   STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP — event tracing
-//     (obs/trace.hpp); never changes stdout or simulated results
-//   STAGTM_PROF / STAGTM_PROF_CAP / STAGTM_PROF_FOOTPRINT — conflict
-//     provenance (obs/prov.hpp): per-abort blame records + advisory-lock
-//     counterfactual episodes, written per job for tools/stagtm-prof;
+//   STAGTM_TRACE / STAGTM_TRACE_CAP — event tracing (obs/trace.hpp);
 //     never changes stdout or simulated results
+//   STAGTM_PROF / STAGTM_PROF_CAP — conflict provenance (obs/prov.hpp):
+//     per-abort blame records + advisory-lock counterfactual episodes,
+//     written per job for `stagtm prof`; never changes stdout or
+//     simulated results
 #pragma once
 
 #include <chrono>

@@ -1,5 +1,5 @@
 // One checked probe = one perturbed run + invariants + serializability
-// oracle. stagtm-check and the failure reducer both go through this entry
+// oracle. `stagtm check` and the failure reducer both go through this entry
 // point, so "fails" means the same thing everywhere.
 #pragma once
 

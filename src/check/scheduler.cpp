@@ -1,6 +1,7 @@
 #include "check/scheduler.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,17 +22,35 @@ const char* sched_mode_name(SchedMode m) {
   return "?";
 }
 
+SchedMode parse_sched_mode(const char* name, const char* value) {
+  const std::string v = value;
+  if (v == "pct") return SchedMode::kPct;
+  if (v == "jitter") return SchedMode::kJitter;
+  env_fail(name, value, "\"pct\" or \"jitter\"");
+}
+
+void SchedConfig::parse_window(const char* name, const char* spec) {
+  const std::string s = spec;
+  const auto colon = s.find(':');
+  auto cycles = [](const std::string& t, Cycle* out) {
+    if (t.empty() || t[0] < '0' || t[0] > '9') return false;
+    char* end = nullptr;
+    *out = std::strtoull(t.c_str(), &end, 10);
+    return *end == '\0';
+  };
+  Cycle lo = 0, hi = 0;
+  if (colon == std::string::npos || !cycles(s.substr(0, colon), &lo) ||
+      !cycles(s.substr(colon + 1), &hi) || lo >= hi)
+    env_fail(name, spec, "\"lo:hi\" with lo < hi (cycles)");
+  window_lo = lo;
+  window_hi = hi;
+}
+
 SchedConfig SchedConfig::from_env() {
   SchedConfig cfg;
   const std::string mode = env_str("STAGTM_SCHED_MODE");
   if (mode.empty()) return cfg;  // other knobs are ignored when off
-  if (mode == "pct")
-    cfg.mode = SchedMode::kPct;
-  else if (mode == "jitter")
-    cfg.mode = SchedMode::kJitter;
-  else
-    env_fail("STAGTM_SCHED_MODE", mode.c_str(),
-             "\"pct\", \"jitter\", or unset");
+  cfg.mode = parse_sched_mode("STAGTM_SCHED_MODE", mode.c_str());
   cfg.seed = env_u64("STAGTM_SCHED_SEED", 1, 0, ~std::uint64_t{0},
                      "a non-negative integer");
   cfg.jitter = env_u64("STAGTM_SCHED_JITTER", 64, 1, 1'000'000'000,
@@ -43,27 +62,7 @@ SchedConfig SchedConfig::from_env() {
   cfg.skew = env_u64("STAGTM_SCHED_SKEW", 4096, 1, 1'000'000'000,
                      "an integer in [1,1000000000]");
   const std::string win = env_str("STAGTM_SCHED_WINDOW");
-  if (!win.empty()) {
-    const auto colon = win.find(':');
-    bool ok = colon != std::string::npos;
-    std::uint64_t lo = 0, hi = 0;
-    if (ok) {
-      char* end = nullptr;
-      const std::string a = win.substr(0, colon), b = win.substr(colon + 1);
-      lo = std::strtoull(a.c_str(), &end, 10);
-      ok = !a.empty() && *end == '\0';
-      if (ok) {
-        hi = std::strtoull(b.c_str(), &end, 10);
-        ok = !b.empty() && *end == '\0';
-      }
-      ok = ok && lo < hi;
-    }
-    if (!ok)
-      env_fail("STAGTM_SCHED_WINDOW", win.c_str(),
-               "\"lo:hi\" with lo < hi (cycles)");
-    cfg.window_lo = lo;
-    cfg.window_hi = hi;
-  }
+  if (!win.empty()) cfg.parse_window("STAGTM_SCHED_WINDOW", win.c_str());
   return cfg;
 }
 

@@ -40,6 +40,10 @@ enum class SchedMode : std::uint8_t { kNone, kPct, kJitter };
 
 const char* sched_mode_name(SchedMode m);
 
+/// "pct" or "jitter" (the STAGTM_SCHED_MODE and `stagtm check --mode`
+/// spellings); anything else exits 2 naming `name`.
+SchedMode parse_sched_mode(const char* name, const char* value);
+
 struct SchedConfig {
   SchedMode mode = SchedMode::kNone;
   std::uint64_t seed = 1;
@@ -55,6 +59,10 @@ struct SchedConfig {
   /// Reads the STAGTM_SCHED_* knobs; exits 2 on malformed values. Parsed
   /// fresh on each call (no latch) so tests can exercise the validation.
   static SchedConfig from_env();
+
+  /// Sets the injection window from "lo:hi" (cycles, lo < hi); anything
+  /// else exits 2 naming `name` (STAGTM_SCHED_WINDOW or --window).
+  void parse_window(const char* name, const char* spec);
 
   /// Human/CLI form, e.g. "jitter seed=7 amp=64 period=8 window=0:4096".
   /// "off" when disabled. Stable: reruns of the same config print the same.

@@ -1,11 +1,9 @@
 // Metrics registry (observability layer 3).
 //
 // One table naming every CoreStats counter and histogram, so consumers
-// (the STAGTM_JSON writer, the stagtm-trace CLI, tests) iterate the full
+// (the STAGTM_JSON writer, MachineStats::total(), tests) iterate the full
 // metric set generically instead of hand-listing fields — adding a counter
-// to CoreStats plus one registry row makes it appear everywhere. A test
-// cross-checks the registry-driven merge against MachineStats::total() so
-// the two cannot drift apart silently.
+// to CoreStats plus one registry row makes it appear everywhere.
 #pragma once
 
 #include <cstdio>
@@ -39,7 +37,7 @@ const std::vector<CounterDef>& counter_registry();
 const std::vector<HistDef>& hist_registry();
 
 /// Merges `c` into `into` following each counter's merge rule and summing
-/// histograms — the registry-driven equivalent of MachineStats::total().
+/// histograms; MachineStats::total() is this merge over every core.
 void merge_core_stats(sim::CoreStats& into, const sim::CoreStats& c);
 
 /// Serializes one CoreStats as a JSON object body (no surrounding braces):

@@ -34,9 +34,6 @@ ProvConfig ProvConfig::from_env() {
   cfg.cap_per_core = static_cast<std::size_t>(
       env_u64("STAGTM_PROF_CAP", 1u << 16, 1, 1u << 24,
               "an integer in [1,16777216]"));
-  cfg.footprint_lines = static_cast<std::size_t>(
-      env_u64("STAGTM_PROF_FOOTPRINT", 64, 1, 4096,
-              "an integer in [1,4096]"));
   return cfg;
 }
 

@@ -18,11 +18,9 @@
 // (CI-enforced).
 //
 // Knobs (exit 2 on malformed values, like every STAGTM_* knob):
-//   STAGTM_PROF=<path>           enable provenance; binary output for the
-//                                `stagtm-prof` CLI (and stagtm-trace --prof)
+//   STAGTM_PROF=<path>           enable provenance; binary output for
+//                                `stagtm prof` (and `stagtm trace --prof`)
 //   STAGTM_PROF_CAP=<n>          per-core ring capacity (default 65536)
-//   STAGTM_PROF_FOOTPRINT=<n>    max lines kept per footprint (default 64;
-//                                larger footprints set the truncated flag)
 #pragma once
 
 #include <cstdint>
@@ -104,16 +102,19 @@ struct LockEpisodeRecord {
 static_assert(sizeof(LockEpisodeRecord) == 48,
               "binary prof format relies on this");
 
+/// Footprint lines a simulation's sink keeps per attempt; larger footprints
+/// set the truncated flag (and classify their episodes as indeterminate).
+inline constexpr std::size_t kFootprintLines = 64;
+
 struct ProvConfig {
   std::string path;                     // empty = provenance disabled
   std::size_t cap_per_core = 1u << 16;  // STAGTM_PROF_CAP
-  std::size_t footprint_lines = 64;     // STAGTM_PROF_FOOTPRINT
 
   bool enabled() const { return !path.empty(); }
 
-  /// Reads STAGTM_PROF / STAGTM_PROF_CAP / STAGTM_PROF_FOOTPRINT; exits 2
-  /// on malformed values. Parsed fresh on each call (no latch) so tests
-  /// can exercise the validation.
+  /// Reads STAGTM_PROF / STAGTM_PROF_CAP; exits 2 on malformed values.
+  /// Parsed fresh on each call (no latch) so tests can exercise the
+  /// validation.
   static ProvConfig from_env();
 };
 
@@ -161,7 +162,7 @@ class ProvSink {
   /// info and the heap/privacy attribution into the pending blame. The
   /// executor's on_attempt_abort() closes the record with retry/cost data.
   /// `stm_tier` marks an STM-tier attempt (executor-raised causes; sets
-  /// kBlameTierStm so stagtm-prof can split blame per execution tier).
+  /// kBlameTierStm so `stagtm prof` can split blame per execution tier).
   void on_abort_finalize(sim::CoreId c, std::uint8_t cause, sim::Addr line,
                          bool pc_tag_valid, std::uint16_t pc_tag,
                          std::uint32_t first_pc, std::uint32_t alloc_site,

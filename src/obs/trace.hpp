@@ -17,8 +17,6 @@
 //   STAGTM_TRACE=<path>         enable tracing; ".json" writes a Chrome
 //                               trace_event file (Perfetto-compatible),
 //                               any other suffix the compact binary format
-//   STAGTM_TRACE_EVENTS=<list>  comma-separated groups: tx, alp, lock,
-//                               policy, irrevocable, backoff, sched, all
 //   STAGTM_TRACE_CAP=<n>        per-core ring capacity (default 65536)
 #pragma once
 
@@ -68,25 +66,15 @@ struct TraceEvent {
 };
 static_assert(sizeof(TraceEvent) == 24, "binary trace format relies on this");
 
-/// Bit i enables EventKind(i).
-using EventMask = std::uint32_t;
-inline constexpr EventMask kAllEvents = (EventMask{1} << kNumEventKinds) - 1;
-
-/// Parses a comma-separated group list ("tx,lock", "all", ...). Returns
-/// false and fills *err with the offending token on failure.
-bool parse_event_mask(const std::string& spec, EventMask* out,
-                      std::string* err);
-
 struct TraceConfig {
   std::string path;                    // empty = tracing disabled
-  EventMask mask = kAllEvents;
   std::size_t cap_per_core = 1u << 16; // STAGTM_TRACE_CAP
 
   bool enabled() const { return !path.empty(); }
 
-  /// Reads STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP; exits 2
-  /// on malformed values. Parsed fresh on each call (no latch) so tests
-  /// can exercise the validation.
+  /// Reads STAGTM_TRACE / STAGTM_TRACE_CAP; exits 2 on malformed values.
+  /// Parsed fresh on each call (no latch) so tests can exercise the
+  /// validation.
   static TraceConfig from_env();
 };
 
@@ -96,20 +84,14 @@ std::string uniquify_trace_path(const std::string& path, std::size_t job);
 
 class TraceSink {
  public:
-  TraceSink(unsigned cores, std::size_t cap_per_core,
-            EventMask mask = kAllEvents);
+  TraceSink(unsigned cores, std::size_t cap_per_core);
 
   unsigned cores() const { return static_cast<unsigned>(rings_.size()); }
   std::size_t capacity() const { return cap_; }
-  EventMask mask() const { return mask_; }
-  bool wants(EventKind k) const {
-    return (mask_ >> static_cast<unsigned>(k)) & 1u;
-  }
 
   /// Records `e` in core c's ring (newest events displace the oldest).
-  /// Hot-path shape: one mask test, one modulo store, three increments.
+  /// Hot-path shape: one modulo store, one increment.
   void emit(sim::CoreId c, const TraceEvent& e) {
-    if (!wants(e.kind)) return;
     Ring& r = rings_[c];
     r.ev[static_cast<std::size_t>(r.emitted % cap_)] = e;
     ++r.emitted;
@@ -135,7 +117,6 @@ class TraceSink {
   };
   std::vector<Ring> rings_;
   std::size_t cap_;
-  EventMask mask_;
 };
 
 }  // namespace st::obs

@@ -11,7 +11,7 @@
 //             simulated cycle.
 //   *       — compact binary format ("STGTRC01"): the raw 24-byte event
 //             records plus per-core emitted counts, for the
-//             `stagtm-trace` summarizer and programmatic analysis.
+//             `stagtm trace` report and programmatic analysis.
 #pragma once
 
 #include <cstdio>

@@ -4,15 +4,19 @@
 
 namespace st::runtime {
 
+namespace {
+constexpr bool scheme_names_in_enum_order() {
+  unsigned i = 0;
+  for (const SchemeName& n : kSchemeNames)
+    if (static_cast<unsigned>(n.scheme) != i++) return false;
+  return i == static_cast<unsigned>(Scheme::kTxSched) + 1;
+}
+static_assert(scheme_names_in_enum_order(),
+              "kSchemeNames must list every Scheme in enum order");
+}  // namespace
+
 const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kBaseline: return "HTM";
-    case Scheme::kAddrOnly: return "AddrOnly";
-    case Scheme::kStaggered: return "Staggered";
-    case Scheme::kStaggeredSW: return "Staggered+SW";
-    case Scheme::kTxSched: return "TxSched";
-  }
-  return "?";
+  return kSchemeNames[static_cast<unsigned>(s)].name;
 }
 
 stagger::InstrumentMode instrument_mode_for(Scheme s) {
@@ -39,11 +43,11 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   cfg_.mem.cores = cfg_.cores;
   machine_.set_step_fusion(cfg_.macrostep);
   if (cfg_.trace.enabled())
-    trace_ = std::make_unique<obs::TraceSink>(
-        cfg_.cores, cfg_.trace.cap_per_core, cfg_.trace.mask);
+    trace_ = std::make_unique<obs::TraceSink>(cfg_.cores,
+                                              cfg_.trace.cap_per_core);
   if (cfg_.prov.enabled())
     prov_ = std::make_unique<obs::ProvSink>(cfg_.cores, cfg_.prov.cap_per_core,
-                                            cfg_.prov.footprint_lines);
+                                            obs::kFootprintLines);
   if (cfg_.record_commits) commit_log_ = std::make_unique<CommitLog>();
   machine_.set_trace(trace_.get());
   mem_ = std::make_unique<sim::MemorySystem>(cfg_.mem, stats_);

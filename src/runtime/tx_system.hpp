@@ -29,6 +29,21 @@ enum class Scheme : std::uint8_t {
                  // serialize *entire* predicted-conflicting transactions
 };
 
+struct SchemeName {
+  Scheme scheme;
+  const char* name;  // as printed in results, e.g. "Staggered"
+  const char* flag;  // as spelled on the command line, e.g. "staggered"
+};
+
+/// Every scheme, in enum order (static_asserted in tx_system.cpp).
+inline constexpr SchemeName kSchemeNames[] = {
+    {Scheme::kBaseline, "HTM", "htm"},
+    {Scheme::kAddrOnly, "AddrOnly", "addronly"},
+    {Scheme::kStaggered, "Staggered", "staggered"},
+    {Scheme::kStaggeredSW, "Staggered+SW", "staggered-sw"},
+    {Scheme::kTxSched, "TxSched", "txsched"},
+};
+
 const char* scheme_name(Scheme s);
 
 /// Matches the instrumentation the scheme requires.

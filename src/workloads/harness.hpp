@@ -108,7 +108,7 @@ struct RunResult {
   std::uint64_t sched_seed = 0;
   /// Conflict-provenance summary (host-side observer output, excluded from
   /// differential comparisons like wall_ms). Meaningful only when
-  /// prov_enabled; prof_path names the binary file for stagtm-prof.
+  /// prov_enabled; prof_path names the binary file for `stagtm prof`.
   bool prov_enabled = false;
   std::string prof_path;
   obs::ProvSummary prov;

@@ -29,25 +29,20 @@ std::string tmp_path(const char* name) {
 TEST(ProvEnvKnobs, DefaultsWhenUnset) {
   unsetenv("STAGTM_PROF");
   unsetenv("STAGTM_PROF_CAP");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
   const ProvConfig cfg = ProvConfig::from_env();
   EXPECT_FALSE(cfg.enabled());
   EXPECT_EQ(cfg.cap_per_core, 1u << 16);
-  EXPECT_EQ(cfg.footprint_lines, 64u);
 }
 
 TEST(ProvEnvKnobs, ParsesValidValues) {
   ASSERT_EQ(setenv("STAGTM_PROF", "/tmp/x.prf", 1), 0);
   ASSERT_EQ(setenv("STAGTM_PROF_CAP", "128", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "16", 1), 0);
   const ProvConfig cfg = ProvConfig::from_env();
   EXPECT_TRUE(cfg.enabled());
   EXPECT_EQ(cfg.path, "/tmp/x.prf");
   EXPECT_EQ(cfg.cap_per_core, 128u);
-  EXPECT_EQ(cfg.footprint_lines, 16u);
   unsetenv("STAGTM_PROF");
   unsetenv("STAGTM_PROF_CAP");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
 }
 
 TEST(ProvEnvKnobs, MalformedCapExitsWithCode2) {
@@ -58,16 +53,6 @@ TEST(ProvEnvKnobs, MalformedCapExitsWithCode2) {
   EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
               "STAGTM_PROF_CAP");
   unsetenv("STAGTM_PROF_CAP");
-}
-
-TEST(ProvEnvKnobs, MalformedFootprintExitsWithCode2) {
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "-3", 1), 0);
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_FOOTPRINT");
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "5000", 1), 0);  // above maximum
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_FOOTPRINT");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
 }
 
 // -------------------------------------------------------- blame rings ----

@@ -1,6 +1,6 @@
-// stagtm-prof: analyzes a binary conflict-provenance file (STAGTM_PROF=<path>,
-// format "STGPRF01", obs/prov.hpp). Where stagtm-trace summarizes *events*,
-// this tool assigns *blame*:
+// stagtm prof: analyzes a binary conflict-provenance file (STAGTM_PROF=<path>,
+// format "STGPRF01", obs/prov.hpp). Where `stagtm trace` summarizes
+// *events*, this report assigns *blame*:
 //   * summary: blame/episode totals, abort causes, wasted cycles
 //   * hotspots: conflict-graph nodes (allocation site x access PC) ranked by
 //     wasted cycles — "code X touching data born at Y" is the unit the
@@ -14,18 +14,21 @@
 //   * --diff A B: side-by-side comparison of two runs (e.g. list_bench with
 //     advisory locks off vs on) — per-lock counterfactual counts plus the
 //     hotspot deltas that explain where the wasted cycles went
+//
+//   stagtm prof [--top N] [--window W] <prof-file>
+//   stagtm prof --diff <prof-A> <prof-B> [--top N]
+//     --top N     rows per table (default 10)
+//     --window W  max cycles between cascade links (default 5000)
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "obs/prov.hpp"
-#include "obs/trace_export.hpp"
+#include "cli.hpp"
 
+namespace st::cli {
 namespace {
 
 using st::obs::BlameRecord;
@@ -35,25 +38,6 @@ using st::obs::LockEffectiveness;
 using st::obs::LockEpisodeRecord;
 using st::obs::ProvData;
 using st::obs::ProvSummary;
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: stagtm-prof [--top N] [--window W] <prof-file>\n"
-      "       stagtm-prof --diff <prof-A> <prof-B> [--top N]\n"
-      "  Attributes aborts recorded by STAGTM_PROF=<path> (obs/prov.hpp).\n"
-      "  --top N     rows per table (default 10)\n"
-      "  --window W  max cycles between cascade links (default 5000)\n"
-      "  --diff A B  compare two runs (e.g. advisory locks off vs on)\n");
-  return 2;
-}
-
-bool load(const char* path, ProvData* out) {
-  std::string err;
-  if (st::obs::read_prov_file(path, out, &err)) return true;
-  std::fprintf(stderr, "stagtm-prof: %s: %s\n", path, err.c_str());
-  return false;
-}
 
 /// All blame records of a run merged across cores, time order (ties broken
 /// by victim core so output is deterministic).
@@ -140,16 +124,10 @@ void print_hotspots(const ConflictGraph& g, unsigned top) {
   if (rows.size() > top) rows.resize(top);
   std::printf("  %-12s %-10s %10s %10s %14s\n", "alloc_site", "pc",
               "victim", "aggressor", "wasted_cycles");
-  for (const auto& n : rows) {
-    char site[16];
-    if (n.alloc_site == 0)
-      std::snprintf(site, sizeof site, "%s", "(static)");
-    else
-      std::snprintf(site, sizeof site, "0x%x", n.alloc_site);
+  for (const auto& n : rows)
     std::printf("  %-12s 0x%-8x %10" PRIu64 " %10" PRIu64 " %14" PRIu64 "\n",
-                site, n.pc, n.aborts_as_victim, n.aborts_as_aggressor,
-                n.wasted_cycles);
-  }
+                site_name(n.alloc_site).c_str(), n.pc, n.aborts_as_victim,
+                n.aborts_as_aggressor, n.wasted_cycles);
 }
 
 void print_edges(const ConflictGraph& g, unsigned top) {
@@ -395,50 +373,28 @@ int diff(const char* pa, const char* pb, unsigned top) {
   if (rows.size() > top) rows.resize(top);
   std::printf("  %-12s %-10s %9s %9s %13s %13s\n", "alloc_site", "pc",
               "aborts A", "aborts B", "wasted A", "wasted B");
-  for (const auto& [key, c] : rows) {
-    char site[16];
-    if (key.first == 0)
-      std::snprintf(site, sizeof site, "%s", "(static)");
-    else
-      std::snprintf(site, sizeof site, "0x%x", key.first);
+  for (const auto& [key, c] : rows)
     std::printf("  %-12s 0x%-8x %9" PRIu64 " %9" PRIu64 " %13" PRIu64
                 " %13" PRIu64 "\n",
-                site, key.second, c.aborts_a, c.aborts_b, c.wasted_a,
-                c.wasted_b);
-  }
+                site_name(key.first).c_str(), key.second, c.aborts_a,
+                c.aborts_b, c.wasted_a, c.wasted_b);
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int prof_main(int argc, char** argv) {
   unsigned top = 10;
   std::uint64_t window = 5000;
   bool diff_mode = false;
-  std::vector<const char*> paths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1 || v > 10000) return usage();
-      top = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) return usage();
-      window = v;
-    } else if (std::strcmp(argv[i], "--diff") == 0) {
-      diff_mode = true;
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else {
-      paths.push_back(argv[i]);
-    }
-  }
-  if (diff_mode) {
-    if (paths.size() != 2) return usage();
-    return diff(paths[0], paths[1], top);
-  }
-  if (paths.size() != 1) return usage();
-  return analyze(paths[0], top, window);
+  Flags flags;
+  top_flag(flags, &top);
+  flags.integer("--window", &window, 1, ~std::uint64_t{0});
+  flags.toggle("--diff", &diff_mode);
+  const auto paths = flags.parse(argc, argv);
+  if (paths.size() != (diff_mode ? 2u : 1u)) usage();
+  return diff_mode ? diff(paths[0], paths[1], top)
+                   : analyze(paths[0], top, window);
 }
+
+}  // namespace st::cli

@@ -1,128 +1,41 @@
-// stagtm — command-line driver for one-off experiment runs.
+// stagtm — the command-line interface of the simulator.
 //
-//   stagtm list
-//   stagtm run <workload> [--scheme htm|addronly|staggered|staggered-sw]
-//              [--threads N] [--scale F] [--seed S] [--lazy]
-//              [--pc-tag-bits B] [--locks N] [--timeout CYCLES]
-//              [--max-retries N] [--history N] [--pc-thr N] [--addr-thr N]
-//              [--prom-thr N]
+//   stagtm list                      registered workloads
+//   stagtm run <workload> [flags]    one run, full RunResult breakdown
+//   stagtm check <workload> [flags]  schedule-exploration checker (check.cpp)
+//   stagtm trace [flags] <file>      binary event-trace report (trace.cpp)
+//   stagtm prof [flags] <file>       conflict-provenance report (prof.cpp)
 //
-// Prints the full RunResult breakdown; exits nonzero on bad usage.
+// `stagtm` alone prints every subcommand's flags. Bad usage, a malformed
+// flag value or an unknown workload exits 2.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "workloads/harness.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace st;
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: stagtm list\n"
-      "       stagtm run <workload> [--scheme S] [--threads N] [--scale F]\n"
-      "                  [--seed S] [--lazy] [--pc-tag-bits B] [--locks N]\n"
-      "                  [--timeout C] [--max-retries N] [--history N]\n"
-      "                  [--pc-thr N] [--addr-thr N] [--prom-thr N]\n");
-  return 2;
-}
-
-bool parse_scheme(const std::string& s, runtime::Scheme* out) {
-  if (s == "htm") *out = runtime::Scheme::kBaseline;
-  else if (s == "addronly") *out = runtime::Scheme::kAddrOnly;
-  else if (s == "staggered") *out = runtime::Scheme::kStaggered;
-  else if (s == "staggered-sw") *out = runtime::Scheme::kStaggeredSW;
-  else return false;
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-
-  if (cmd == "list") {
-    for (const auto& [name, factory] : workloads::workload_registry()) {
-      auto wl = factory();
-      std::printf("%-10s  contention=%s  ops/thread=%llu\n", name.c_str(),
-                  wl->expected_contention(),
-                  static_cast<unsigned long long>(wl->ops_per_thread()));
-    }
-    return 0;
+int list(int argc, char** argv) {
+  if (!cli::Flags().parse(argc, argv).empty()) cli::usage();
+  for (const auto& [name, factory] : workloads::workload_registry()) {
+    auto wl = factory();
+    std::printf("%-10s  contention=%s  ops/thread=%llu\n", name.c_str(),
+                wl->expected_contention(),
+                static_cast<unsigned long long>(wl->ops_per_thread()));
   }
-  if (cmd != "run" || argc < 3) return usage();
+  return 0;
+}
 
-  const std::string name = argv[2];
+int run(int argc, char** argv) {
   workloads::RunOptions o;
-  o.ops_scale = 0.25;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (a == "--lazy") {
-      o.lazy_htm = true;
-    } else if (a == "--scheme") {
-      const char* v = next();
-      if (!v || !parse_scheme(v, &o.scheme)) return usage();
-    } else if (a == "--threads") {
-      const char* v = next();
-      if (!v) return usage();
-      o.threads = std::atoi(v);
-    } else if (a == "--scale") {
-      const char* v = next();
-      if (!v) return usage();
-      o.ops_scale = std::atof(v);
-    } else if (a == "--seed") {
-      const char* v = next();
-      if (!v) return usage();
-      o.seed = std::atoll(v);
-    } else if (a == "--pc-tag-bits") {
-      const char* v = next();
-      if (!v) return usage();
-      o.pc_tag_bits = std::atoi(v);
-    } else if (a == "--locks") {
-      const char* v = next();
-      if (!v) return usage();
-      o.num_advisory_locks = std::atoi(v);
-    } else if (a == "--timeout") {
-      const char* v = next();
-      if (!v) return usage();
-      o.lock_timeout = std::atoll(v);
-    } else if (a == "--max-retries") {
-      const char* v = next();
-      if (!v) return usage();
-      o.max_retries = std::atoi(v);
-    } else if (a == "--history") {
-      const char* v = next();
-      if (!v) return usage();
-      o.history_len = std::atoi(v);
-    } else if (a == "--pc-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.pc_thr = std::atoi(v);
-    } else if (a == "--addr-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.addr_thr = std::atoi(v);
-    } else if (a == "--prom-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.prom_thr = std::atoi(v);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-      return usage();
-    }
-  }
-
-  if (!workloads::make_workload(name)) {
-    std::fprintf(stderr, "unknown workload '%s' (try: stagtm list)\n",
-                 name.c_str());
-    return 1;
-  }
+  cli::Flags flags;
+  cli::run_flags(flags, &o);
+  const auto pos = flags.parse(argc, argv);
+  if (pos.size() != 1) cli::usage();
+  const std::string name = pos[0];
+  cli::require_workload(name);
 
   const auto r = workloads::run_workload(name, o);
   const auto& t = r.totals;
@@ -186,4 +99,19 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(t.priv_hits),
                static_cast<unsigned long long>(t.dir_probes));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) cli::usage();
+  const std::string cmd = argv[1];
+  argc -= 2;
+  argv += 2;
+  if (cmd == "list") return list(argc, argv);
+  if (cmd == "run") return run(argc, argv);
+  if (cmd == "check") return cli::check_main(argc, argv);
+  if (cmd == "trace") return cli::trace_main(argc, argv);
+  if (cmd == "prof") return cli::prof_main(argc, argv);
+  cli::usage();
 }

@@ -1,27 +1,30 @@
-// stagtm-trace: summarizes a binary event trace (STAGTM_TRACE=<path> with a
+// stagtm trace: summarizes a binary event trace (STAGTM_TRACE=<path> with a
 // non-.json suffix) without opening a UI. Sections:
 //   * per-core event totals (commits, aborts, drops)
 //   * abort heatmap: top conflicting lines x anchor PC tags, by abort count
 //   * per-advisory-lock hold/contention table
 //   * locking-policy decision counts
 //   * privacy report: lines that escaped their owner's private domain
-//     (per-arena counts plus the earliest escapes with cycle and PC) —
-//     needs STAGTM_TRACE_EVENTS to include "priv" (or "all", the default)
+//     (per-arena counts plus the earliest escapes with cycle and PC)
 // Typical use: reproduce a contended run with tracing on, then point this
 // at the file to see *which* lines and PCs the conflicts concentrate on —
 // the same signal the locking policy itself trains on (paper §5.2).
+//
+//   stagtm trace [--top N] [--prof P] <trace-file>
+//     --top N   rows in the abort heatmap and escape list (default 10)
+//     --prof P  join a STAGTM_PROF provenance file: annotates the abort
+//               heatmap with each line's allocation site
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/prov.hpp"
-#include "obs/trace_export.hpp"
+#include "cli.hpp"
 
+namespace st::cli {
 namespace {
 
 using st::obs::EventKind;
@@ -54,54 +57,25 @@ struct Escape {
   unsigned publisher = 0;       // core whose publication leaked it
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: stagtm-trace [--top N] [--prof F] <trace-file>\n"
-               "  Summarizes a binary simulator trace (see obs/trace.hpp).\n"
-               "  --top N   rows in the abort heatmap (default 10)\n"
-               "  --prof F  join a STAGTM_PROF provenance file: annotates the\n"
-               "            abort heatmap with each line's allocation site\n");
-  return 2;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int trace_main(int argc, char** argv) {
   unsigned top = 10;
-  const char* path = nullptr;
-  const char* prof_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1 || v > 1000) return usage();
-      top = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--prof") == 0 && i + 1 < argc) {
-      prof_path = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (path == nullptr) return usage();
+  std::string prof;
+  Flags flags;
+  top_flag(flags, &top);
+  flags.text("--prof", &prof);
+  const auto pos = flags.parse(argc, argv);
+  if (pos.size() != 1) usage();
+  const char* path = pos[0];
+  const char* prof_path = prof.empty() ? nullptr : prof.c_str();
 
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "stagtm-trace: cannot open \"%s\"\n", path);
-    return 1;
-  }
   TraceData t;
-  std::string err;
-  const bool ok = st::obs::read_binary_trace(f, &t, &err);
-  std::fclose(f);
-  if (!ok) {
-    std::fprintf(stderr, "stagtm-trace: %s: %s\n", path, err.c_str());
-    std::fprintf(stderr,
-                 "(.json traces are for Perfetto/chrome://tracing; point "
-                 "STAGTM_TRACE at a non-.json path for this tool)\n");
+  if (!load(path, &t)) {
+    if (std::string_view(path).ends_with(".json"))
+      std::fprintf(stderr,
+                   "(.json traces are for Perfetto/chrome://tracing; point "
+                   "STAGTM_TRACE at a non-.json path for this report)\n");
     return 1;
   }
 
@@ -112,10 +86,7 @@ int main(int argc, char** argv) {
       blame_at;
   st::obs::ProvData prov;
   if (prof_path != nullptr) {
-    if (!st::obs::read_prov_file(prof_path, &prov, &err)) {
-      std::fprintf(stderr, "stagtm-trace: %s: %s\n", prof_path, err.c_str());
-      return 1;
-    }
+    if (!load(prof_path, &prov)) return 1;
     for (const auto& pc : prov.per_core)
       for (const st::obs::BlameRecord& r : pc.blames)
         blame_at[{r.victim_core, r.at}] = &r;
@@ -252,14 +223,8 @@ int main(int argc, char** argv) {
       std::printf("  0x%-16" PRIx64 " 0x%-5x %8" PRIu64 " %-5s ", key.first,
                   key.second, cell.count, tier);
       if (prof_path != nullptr) {
-        char site[16];
-        if (!cell.site_known)
-          std::snprintf(site, sizeof site, "%s", "?");
-        else if (cell.alloc_site == 0)
-          std::snprintf(site, sizeof site, "%s", "(static)");
-        else
-          std::snprintf(site, sizeof site, "0x%x", cell.alloc_site);
-        std::printf("%-12s ", site);
+        std::printf("%-12s ",
+                    cell.site_known ? site_name(cell.alloc_site).c_str() : "?");
       }
       bool first = true;
       for (unsigned cz = 0; cz < 8; ++cz) {
@@ -322,8 +287,7 @@ int main(int argc, char** argv) {
   std::printf("\nprivate-line escapes (%zu lines left their arena)\n",
               escapes.size());
   if (escapes.empty()) {
-    std::printf("  (none — all worker-arena lines stayed private; enable the"
-                " \"priv\" trace group if it was filtered out)\n");
+    std::printf("  (none — all worker-arena lines stayed private)\n");
   } else {
     std::printf("  per-arena: ");
     bool firsta = true;
@@ -356,3 +320,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace st::cli
