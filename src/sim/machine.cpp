@@ -1,6 +1,5 @@
 #include "sim/machine.hpp"
 
-#include <queue>
 #include <utility>
 
 #include "common/check.hpp"
@@ -33,55 +32,100 @@ Cycle Machine::now() const {
   return min_running == ~Cycle{0} ? max_any : min_running;
 }
 
+namespace {
+
+/// A scheduler event: `id`'s next step starts at `clock`.
+struct Event {
+  Cycle clock;
+  CoreId id;
+};
+
+/// Smallest clock first, ties by core id: the order run() steps cores in.
+bool before(const Event& a, const Event& b) {
+  return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
+}
+
+/// Moves heap[i] down until neither child comes before it (a binary
+/// min-heap under `before`; the children of slot i are 2i+1 and 2i+2).
+void sift_down(std::vector<Event>& heap, std::size_t i) {
+  const std::size_t n = heap.size();
+  const Event e = heap[i];
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && before(heap[c + 1], heap[c])) ++c;
+    if (!before(heap[c], e)) break;
+    heap[i] = heap[c];
+    i = c;
+  }
+  heap[i] = e;
+}
+
+}  // namespace
+
 Cycle Machine::run(Cycle max_cycles) {
   // A perturbation hook takes its own loop (and budget 1): the hook picks
   // cores in arbitrary order, and the fusion window only holds for
   // smallest-(clock, id) pops.
   if (perturb_ != nullptr) return run_perturbed(max_cycles);
-  // Event queue keyed by (clock, core id): pop order is exactly the old
-  // linear scan's order (smallest clock, ties by id) without rescanning
-  // every core per step. Entries go stale when a task advances clocks it
-  // does not own (advance_clock from inside step); a popped entry whose
-  // clock disagrees with the core's is requeued at the true clock, so no
+  // Replace-top event heap keyed by (clock, core id), one entry per running
+  // core: the top is exactly what a linear scan for the smallest (clock, id)
+  // would pick, without rescanning every core per step. The top core steps
+  // in place; afterwards one sift-down re-keys its entry at its new clock,
+  // or the entry is removed when the task finished. Entries go stale when a
+  // task advances clocks it does not own (advance_clock from inside step);
+  // a stale top is re-keyed at the core's true clock the same way, so no
   // runnable core is ever lost. Clocks only grow, so this terminates.
-  using Entry = std::pair<Cycle, CoreId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> ready;
+  std::vector<Event> heap;
+  heap.reserve(cores_.size());
   for (unsigned i = 0; i < cores_.size(); ++i)
     if (cores_[i].task && !cores_[i].task->done())
-      ready.emplace(cores_[i].clock, static_cast<CoreId>(i));
-  while (!ready.empty()) {
-    const auto [clk, id] = ready.top();
-    ready.pop();
+      heap.push_back({cores_[i].clock, static_cast<CoreId>(i)});
+  for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(heap, i);
+  while (!heap.empty()) {
+    const auto [clk, id] = heap[0];
     Core& c = cores_[id];
-    if (!c.task || c.task->done()) continue;
     if (c.clock != clk) {
-      ready.emplace(c.clock, id);
+      heap[0].clock = c.clock;
+      sift_down(heap, 0);
       continue;
     }
-    if (c.clock >= max_cycles) break;
+    if (clk >= max_cycles) break;
     // Fusion window: the stepping core stays the scheduler's choice for any
     // event it would enqueue strictly before `limit` (the next competing
     // entry's clock, +1 when this core also wins the id tie-break; capped
     // by max_cycles). Work fused inside the window executes in exactly the
-    // order single-stepping would have produced. Stale competitor entries
-    // only shrink the window — never past an actual runnable event.
+    // order single-stepping would have produced. The competitor is the
+    // smaller of the top's two children. Stale competitor entries only
+    // shrink the window — never past an actual runnable event.
     Cycle limit = max_cycles;
-    if (!ready.empty()) {
-      const auto [nclk, nid] = ready.top();
-      const Cycle h = (id < nid && nclk != ~Cycle{0}) ? nclk + 1 : nclk;
+    if (heap.size() > 1) {
+      Event next = heap[1];
+      if (heap.size() > 2 && before(heap[2], next)) next = heap[2];
+      const Cycle h =
+          (id < next.id && next.clock != ~Cycle{0}) ? next.clock + 1
+                                                    : next.clock;
       if (h < limit) limit = h;
     }
     fuse_budget_ = (fusion_ && limit > clk) ? limit - clk : 1;
     const Cycle used = c.task->step(*this, id);
     fuse_budget_ = 1;
     c.clock += used < 1 ? 1 : used;
+    // The only done() call per step: a task's done() changes only inside
+    // its own step() (the CoreTask contract), so the entries of the other
+    // cores never need re-checking.
     if (!c.task->done()) {
-      ready.emplace(c.clock, id);
-    } else if (trace_ != nullptr) {
-      // A finished task is never re-enqueued, so this fires exactly once
-      // per core per run.
-      trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
+      heap[0].clock = c.clock;
+    } else {
+      // A finished task's entry is removed, so this fires exactly once per
+      // core per run.
+      if (trace_ != nullptr)
+        trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
+      heap[0] = heap.back();
+      heap.pop_back();
+      if (heap.empty()) break;
     }
+    sift_down(heap, 0);
   }
   Cycle end = 0;
   for (const auto& c : cores_)

@@ -4,8 +4,10 @@
 // machine). The machine repeatedly advances the runnable core with the
 // smallest clock (ties broken by core id), so a given configuration and seed
 // always produces a bit-identical execution, independent of the host. The
-// loop runs on the calling host thread; parallelism across simulations
-// comes from running several machines at once (workloads/runner.hpp).
+// loop keeps one (clock, id) entry per running core in a binary min-heap:
+// the top core steps in place and one replace-top sift-down re-keys it. It
+// runs on the calling host thread; parallelism across simulations comes
+// from running several machines at once (workloads/runner.hpp).
 #pragma once
 
 #include <memory>
@@ -48,6 +50,11 @@ class SchedPerturb {
 /// consume no more than Machine::fuse_budget() cycles beyond its first
 /// instruction's start — that is the window within which no other core has
 /// a scheduler event, so fusing inside it cannot change the interleaving.
+///
+/// While run() is running, done() may change only inside the task's own
+/// step(): another core's step must not finish or revive it. run() relies
+/// on this to call done() once per step, right after the step, and never
+/// for the other cores' entries.
 class CoreTask {
  public:
   virtual ~CoreTask() = default;

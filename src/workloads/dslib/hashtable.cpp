@@ -107,17 +107,21 @@ unsigned host_ht_bucket(const sim::Heap& heap, const HashLib& lib,
   return static_cast<unsigned>(key % n);
 }
 
-void host_ht_insert(sim::Heap& heap, unsigned arena, const HashLib& lib,
-                    sim::Addr ht, std::int64_t key, std::int64_t val) {
-  const unsigned idx = host_ht_bucket(heap, lib, ht, key);
+void host_ht_build(sim::Heap& heap, unsigned arena, const HashLib& lib,
+                   sim::Addr ht, std::span<const KeyVal> items) {
+  const auto n = heap.load(ht + lib.htab_t->field(0).offset, 8);
   const sim::Addr barr = heap.load(ht + lib.htab_t->field(1).offset, 8);
-  const sim::Addr lp = heap.load(barr + std::size_t{idx} * 8, 8);
-  host_list_push_sorted(heap, arena, lib.list, lp, key, val);
+  std::vector<sim::Addr> lists(n);
+  for (std::uint64_t i = 0; i < n; ++i) lists[i] = heap.load(barr + i * 8, 8);
+  std::vector<unsigned> bucket(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    bucket[i] = host_ht_bucket(heap, lib, ht, items[i].first);
+  host_lists_build(heap, arena, lib.list, lists, items, bucket);
 }
 
-std::vector<std::pair<std::int64_t, std::int64_t>> host_ht_items(
-    const sim::Heap& heap, const HashLib& lib, sim::Addr ht) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+std::vector<KeyVal> host_ht_items(const sim::Heap& heap, const HashLib& lib,
+                                  sim::Addr ht) {
+  std::vector<KeyVal> out;
   const auto n = heap.load(ht + lib.htab_t->field(0).offset, 8);
   const sim::Addr barr = heap.load(ht + lib.htab_t->field(1).offset, 8);
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -26,11 +26,14 @@ HashLib build_hash_lib(ir::Module& m, unsigned nbuckets);
 // --- host-side helpers ---
 sim::Addr host_ht_new(sim::Heap& heap, unsigned arena, const HashLib& lib,
                       unsigned nbuckets);
-void host_ht_insert(sim::Heap& heap, unsigned arena, const HashLib& lib,
-                    sim::Addr ht, std::int64_t key, std::int64_t val);
+/// Fills the empty table `ht` with `items` in one pass: each item goes to
+/// the bucket host_ht_bucket names, nodes are allocated in item order across
+/// all buckets, and each bucket is linked as host_list_build links a list.
+void host_ht_build(sim::Heap& heap, unsigned arena, const HashLib& lib,
+                   sim::Addr ht, std::span<const KeyVal> items);
 /// All (key, val) pairs, bucket by bucket.
-std::vector<std::pair<std::int64_t, std::int64_t>> host_ht_items(
-    const sim::Heap& heap, const HashLib& lib, sim::Addr ht);
+std::vector<KeyVal> host_ht_items(const sim::Heap& heap, const HashLib& lib,
+                                  sim::Addr ht);
 /// Bucket index the IR uses for `key`.
 unsigned host_ht_bucket(const sim::Heap& heap, const HashLib& lib,
                         sim::Addr ht, std::int64_t key);

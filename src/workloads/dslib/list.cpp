@@ -1,5 +1,6 @@
 #include "workloads/dslib/list.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -209,31 +210,55 @@ sim::Addr host_list_new(sim::Heap& heap, unsigned arena, const ListLib& lib) {
   return heap.alloc(arena, lib.list_t->size);
 }
 
-void host_list_push_sorted(sim::Heap& heap, unsigned arena,
-                           const ListLib& lib, sim::Addr list,
-                           std::int64_t key, std::int64_t val) {
-  const Offs o = offs(lib);
-  const sim::Addr n = heap.alloc(arena, lib.node_t->size);
-  heap.store(n + o.key, static_cast<std::uint64_t>(key), 8);
-  heap.store(n + o.val, static_cast<std::uint64_t>(val), 8);
-  sim::Addr prev = 0;
-  sim::Addr cur = heap.load(list + o.head, 8);
-  while (cur != 0 &&
-         static_cast<std::int64_t>(heap.load(cur + o.key, 8)) < key) {
-    prev = cur;
-    cur = heap.load(cur + o.next, 8);
-  }
-  heap.store(n + o.next, cur, 8);
-  if (prev == 0)
-    heap.store(list + o.head, n, 8);
-  else
-    heap.store(prev + o.next, n, 8);
+void host_list_build(sim::Heap& heap, unsigned arena, const ListLib& lib,
+                     sim::Addr list, std::span<const KeyVal> items) {
+  const std::vector<unsigned> bucket(items.size(), 0);
+  host_lists_build(heap, arena, lib, {&list, 1}, items, bucket);
 }
 
-std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
-    const sim::Heap& heap, const ListLib& lib, sim::Addr list) {
+void host_lists_build(sim::Heap& heap, unsigned arena, const ListLib& lib,
+                      std::span<const sim::Addr> lists,
+                      std::span<const KeyVal> items,
+                      std::span<const unsigned> bucket) {
+  ST_CHECK(bucket.size() == items.size());
   const Offs o = offs(lib);
-  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  for (const sim::Addr l : lists)
+    ST_CHECK_MSG(heap.load(l + o.head, 8) == 0,
+                 "host_lists_build needs empty lists");
+  const std::size_t n = items.size();
+  std::vector<sim::Addr> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ST_CHECK(bucket[i] < lists.size());
+    const auto [key, val] = items[i];
+    nodes[i] = heap.alloc(arena, lib.node_t->size);
+    heap.store(nodes[i] + o.key, static_cast<std::uint64_t>(key), 8);
+    heap.store(nodes[i] + o.val, static_cast<std::uint64_t>(val), 8);
+  }
+  // Newest item first, then one stable sort by (bucket, key): equal keys
+  // keep newest-first order.
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (bucket[a] != bucket[b]) return bucket[a] < bucket[b];
+                     return items[a].first < items[b].first;
+                   });
+  // Each bucket is one run of `order`: its first node is the list's head,
+  // its last node ends the list.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cur = order[i];
+    const unsigned b = bucket[cur];
+    if (i == 0 || bucket[order[i - 1]] != b)
+      heap.store(lists[b] + o.head, nodes[cur], 8);
+    const bool last = i + 1 == n || bucket[order[i + 1]] != b;
+    heap.store(nodes[cur] + o.next, last ? 0 : nodes[order[i + 1]], 8);
+  }
+}
+
+std::vector<KeyVal> host_list_items(const sim::Heap& heap, const ListLib& lib,
+                                    sim::Addr list) {
+  const Offs o = offs(lib);
+  std::vector<KeyVal> out;
   for (sim::Addr cur = heap.load(list + o.head, 8); cur != 0;
        cur = heap.load(cur + o.next, 8)) {
     out.emplace_back(static_cast<std::int64_t>(heap.load(cur + o.key, 8)),

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,11 +32,31 @@ struct ListLib {
 ListLib build_list_lib(ir::Module& m);
 
 // --- host-side helpers (setup/verification; no simulated cycles) ---
+
+/// A node's (key, val) pair as the host-side helpers read and write it.
+using KeyVal = std::pair<std::int64_t, std::int64_t>;
+
 sim::Addr host_list_new(sim::Heap& heap, unsigned arena, const ListLib& lib);
-void host_list_push_sorted(sim::Heap& heap, unsigned arena, const ListLib& lib,
-                           sim::Addr list, std::int64_t key, std::int64_t val);
-std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
-    const sim::Heap& heap, const ListLib& lib, sim::Addr list);
+/// Fills the empty `list` with `items` with one sort and one link pass.
+/// - Allocation order: one node per item, allocated in item order, so each
+///   node gets the address a one-by-one sorted insert would give it.
+/// - Link order: ascending key. Among equal keys the later item comes
+///   first, because a sorted insert stops at the first node whose key is
+///   >= its own.
+/// The heap therefore ends up word for word as that insert sequence would
+/// leave it, and simulated results do not depend on which one built it.
+void host_list_build(sim::Heap& heap, unsigned arena, const ListLib& lib,
+                     sim::Addr list, std::span<const KeyVal> items);
+/// The bucketed form behind host_ht_build and host_pq_build: item i goes to
+/// the empty list `lists[bucket[i]]`. Nodes are allocated in item order
+/// across all the lists, and each list is linked as host_list_build links
+/// it.
+void host_lists_build(sim::Heap& heap, unsigned arena, const ListLib& lib,
+                      std::span<const sim::Addr> lists,
+                      std::span<const KeyVal> items,
+                      std::span<const unsigned> bucket);
+std::vector<KeyVal> host_list_items(const sim::Heap& heap, const ListLib& lib,
+                                    sim::Addr list);
 /// Checks strict key ordering; returns the length.
 std::size_t host_list_check_sorted(const sim::Heap& heap, const ListLib& lib,
                                    sim::Addr list);

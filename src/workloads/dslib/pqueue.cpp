@@ -89,16 +89,21 @@ sim::Addr host_pq_new(sim::Heap& heap, unsigned arena, const PqLib& lib,
   return pq;
 }
 
-void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
-                  sim::Addr pq, std::int64_t prio, std::int64_t val) {
-  ST_CHECK(prio >= 0 && val != 0);
+void host_pq_build(sim::Heap& heap, unsigned arena, const PqLib& lib,
+                   sim::Addr pq, std::span<const KeyVal> items) {
   const auto n = heap.load(pq + lib.pq_t->field(0).offset, 8);
   const auto sh = heap.load(pq + lib.pq_t->field(1).offset, 8);
-  std::uint64_t idx = static_cast<std::uint64_t>(prio) >> sh;
-  if (idx >= n) idx = n - 1;
   const sim::Addr barr = heap.load(pq + lib.pq_t->field(2).offset, 8);
-  const sim::Addr lp = heap.load(barr + idx * 8, 8);
-  host_list_push_sorted(heap, arena, lib.list, lp, prio, val);
+  std::vector<sim::Addr> lists(n);
+  for (std::uint64_t i = 0; i < n; ++i) lists[i] = heap.load(barr + i * 8, 8);
+  std::vector<unsigned> bucket(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto [prio, val] = items[i];
+    ST_CHECK(prio >= 0 && val != 0);
+    const std::uint64_t idx = static_cast<std::uint64_t>(prio) >> sh;
+    bucket[i] = static_cast<unsigned>(idx < n ? idx : n - 1);
+  }
+  host_lists_build(heap, arena, lib.list, lists, items, bucket);
 }
 
 std::size_t host_pq_size(const sim::Heap& heap, const PqLib& lib,

@@ -23,8 +23,13 @@ PqLib build_pq_lib(ir::Module& m, unsigned nbuckets);
 // --- host-side helpers ---
 sim::Addr host_pq_new(sim::Heap& heap, unsigned arena, const PqLib& lib,
                       unsigned nbuckets, unsigned shift);
-void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
-                  sim::Addr pq, std::int64_t prio, std::int64_t val);
+/// Fills the empty queue `pq` with (prio, val) `items` in one pass: each
+/// item goes to the bucket `push` picks for it, nodes are allocated in item
+/// order across all buckets, and each bucket is linked as host_list_build
+/// links a list (equal priorities newest first). Priorities must be >= 0
+/// and values nonzero (pop returns 0 for an empty queue).
+void host_pq_build(sim::Heap& heap, unsigned arena, const PqLib& lib,
+                   sim::Addr pq, std::span<const KeyVal> items);
 /// Total queued entries (verification).
 std::size_t host_pq_size(const sim::Heap& heap, const PqLib& lib,
                          sim::Addr pq);

@@ -46,8 +46,9 @@ class ListBench final : public Workload {
     const unsigned arena = heap.setup_arena();
     list_ = dslib::host_list_new(heap, arena, lib_);
     // 64 nodes over a 128-key space: every even key present initially.
-    for (std::int64_t k = 2; k <= 2 * kNodes; k += 2)
-      dslib::host_list_push_sorted(heap, arena, lib_, list_, k, k);
+    std::vector<dslib::KeyVal> nodes;
+    for (std::int64_t k = 2; k <= 2 * kNodes; k += 2) nodes.emplace_back(k, k);
+    dslib::host_list_build(heap, arena, lib_, list_, nodes);
     rngs_.clear();
     for (unsigned t = 0; t < sys.config().cores; ++t)
       rngs_.emplace_back(mix64(sys.config().seed) ^ (0xABCDull * (t + 3)));

@@ -99,8 +99,11 @@ class Memcached final : public Workload {
     std::set<std::int64_t> keys;
     while (keys.size() < kItems)
       keys.insert(static_cast<std::int64_t>(prng.next_range(1, kKeyMax)));
-    for (std::int64_t k : keys) dslib::host_ht_insert(heap, arena, lib_, ht_, k, k);
     keys_.assign(keys.begin(), keys.end());
+    std::vector<dslib::KeyVal> items;
+    items.reserve(keys_.size());
+    for (const std::int64_t k : keys_) items.emplace_back(k, k);
+    dslib::host_ht_build(heap, arena, lib_, ht_, items);
     cmds_.assign(3, 0);
     rngs_.clear();
     for (unsigned t = 0; t < sys.config().cores; ++t)

@@ -9,6 +9,7 @@
 #include "check/oracle.hpp"
 #include "check/reducer.hpp"
 #include "check/scheduler.hpp"
+#include "dslib_reference.hpp"
 #include "ir/builder.hpp"
 #include "workloads/dslib/bst.hpp"
 #include "workloads/dslib/hashtable.hpp"
@@ -283,8 +284,9 @@ TEST(Validators, ListReportsDisorderWildPointerAndCycle) {
   sim::Heap heap(1, 1 << 20);
   const unsigned arena = heap.setup_arena();
   const sim::Addr list = ds::host_list_new(heap, arena, lib);
-  for (std::int64_t k = 1; k <= 5; ++k)
-    ds::host_list_push_sorted(heap, arena, lib, list, k, 10 * k);
+  std::vector<ds::KeyVal> items;
+  for (std::int64_t k = 1; k <= 5; ++k) items.emplace_back(k, 10 * k);
+  ds::host_list_build(heap, arena, lib, list, items);
   EXPECT_EQ(ds::host_list_validate(heap, lib, list, true), "");
 
   const unsigned key_off = field_off(lib.node_t, "key");
@@ -352,14 +354,15 @@ TEST(Validators, HashTableReportsBucketCorruption) {
   sim::Heap heap(1, 1 << 20);
   const unsigned arena = heap.setup_arena();
   const sim::Addr ht = ds::host_ht_new(heap, arena, lib, 4);
-  for (std::int64_t k = 0; k < 8; ++k)
-    ds::host_ht_insert(heap, arena, lib, ht, k, k + 100);
+  std::vector<ds::KeyVal> items;
+  for (std::int64_t k = 0; k < 8; ++k) items.emplace_back(k, k + 100);
+  ds::host_ht_build(heap, arena, lib, ht, items);
   EXPECT_EQ(ds::host_ht_validate(heap, lib, ht), "");
 
   // Key 3 pushed into bucket 0 (3 % 4 != 0) is a placement violation.
   const sim::Addr barr = heap.load(ht + lib.htab_t->field(1).offset, 8);
   const sim::Addr bucket0 = heap.load(barr, 8);
-  ds::host_list_push_sorted(heap, arena, lib.list, bucket0, 3, 3);
+  ds::reference::list_push_sorted(heap, arena, lib.list, bucket0, 3, 3);
   EXPECT_NE(ds::host_ht_validate(heap, lib, ht).find("hashes to"),
             std::string::npos);
 }

@@ -3,6 +3,7 @@
 // semantics).
 #include <gtest/gtest.h>
 
+#include "dslib_reference.hpp"
 #include "test_util.hpp"
 #include "workloads/dslib/bst.hpp"
 #include "workloads/dslib/hashtable.hpp"
@@ -281,11 +282,191 @@ TEST(PQueue, ConservesEntries) {
 
 TEST(PQueue, HostAndIrPushesInteroperate) {
   PqFixture f;
-  host_pq_push(f.ms.sys->heap(), f.ms.sys->heap().setup_arena(), f.lib, f.pq,
-               3, 42);
+  const KeyVal task{3, 42};
+  host_pq_build(f.ms.sys->heap(), f.ms.sys->heap().setup_arena(), f.lib, f.pq,
+                {&task, 1});
   f.ms.run_ab(0, {f.pq, 90, 43});
   EXPECT_EQ(f.ms.run_ab(1, {f.pq}), 42u);
   EXPECT_EQ(f.ms.run_ab(1, {f.pq}), 43u);
+}
+
+// ---------------------- one-pass set-up builders --------------------------
+//
+// Each builder must leave the heap word for word as inserting its items one
+// by one in sorted position (tests/dslib_reference.hpp) would: same node
+// addresses, links, keys and values, so simulated runs cannot tell which
+// one set the workload up.
+
+/// "" when the setup arenas of `a` and `b` hold the same live blocks at the
+/// same addresses with the same words, else the first difference.
+std::string heap_diff(const sim::Heap& a, const sim::Heap& b) {
+  if (a.bytes_allocated() != b.bytes_allocated() ||
+      a.live_blocks() != b.live_blocks())
+    return "allocation totals differ";
+  const sim::Addr base =
+      sim::Heap::kBase + std::size_t{a.setup_arena()} * a.arena_stride();
+  std::size_t blocks = 0;
+  for (sim::Addr p = base; p < base + a.arena_bytes(); p += 8) {
+    std::size_t na = 0, nb = 0;
+    const bool la = a.live_block_at(p, &na), lb = b.live_block_at(p, &nb);
+    if (la != lb || na != nb)
+      return "block layout differs at " + std::to_string(p);
+    if (!la) continue;
+    ++blocks;
+    for (std::size_t off = 0; off < na; off += 8)
+      if (a.load(p + off, 8) != b.load(p + off, 8))
+        return "word differs at " + std::to_string(p + off);
+  }
+  return blocks == a.live_blocks() ? "" : "live block outside the setup arena";
+}
+
+/// Runs `build` and `ref` on two fresh heaps and compares every word.
+template <typename Build, typename Ref>
+void expect_same_heap(Build build, Ref ref) {
+  sim::Heap built(1, 1 << 20), inserted(1, 1 << 20);
+  build(built, built.setup_arena());
+  ref(inserted, inserted.setup_arena());
+  EXPECT_EQ(heap_diff(built, inserted), "");
+}
+
+TEST(Builders, ListOfAscendingKeysMatchesSortedInserts) {
+  // Intruder's work queue: flow ids 1..n in order.
+  ir::Module m;
+  const ListLib lib = build_list_lib(m);
+  std::vector<KeyVal> items;
+  for (std::int64_t k = 1; k <= 3000; ++k) items.emplace_back(k, k);
+  expect_same_heap(
+      [&](sim::Heap& h, unsigned arena) {
+        host_list_build(h, arena, lib, host_list_new(h, arena, lib), items);
+      },
+      [&](sim::Heap& h, unsigned arena) {
+        const sim::Addr l = host_list_new(h, arena, lib);
+        for (const auto& [k, v] : items)
+          reference::list_push_sorted(h, arena, lib, l, k, v);
+      });
+}
+
+TEST(Builders, DuplicateKeysComeOutNewestFirst) {
+  // Tsp's task queue: random priorities with many repeats.
+  ir::Module m;
+  const PqLib lib = build_pq_lib(m, 16);
+  Xoshiro256ss rng(11);
+  std::vector<KeyVal> items;
+  for (std::int64_t i = 1; i <= 800; ++i)
+    items.emplace_back(static_cast<std::int64_t>(rng.next_below(300)), i);
+  expect_same_heap(
+      [&](sim::Heap& h, unsigned arena) {
+        host_list_build(h, arena, lib.list, host_list_new(h, arena, lib.list),
+                        items);
+      },
+      [&](sim::Heap& h, unsigned arena) {
+        const sim::Addr l = host_list_new(h, arena, lib.list);
+        for (const auto& [k, v] : items)
+          reference::list_push_sorted(h, arena, lib.list, l, k, v);
+      });
+  // shift 3 sends priorities >= 128 to the last bucket.
+  expect_same_heap(
+      [&](sim::Heap& h, unsigned arena) {
+        host_pq_build(h, arena, lib, host_pq_new(h, arena, lib, 16, 3), items);
+      },
+      [&](sim::Heap& h, unsigned arena) {
+        const sim::Addr pq = host_pq_new(h, arena, lib, 16, 3);
+        for (const auto& [k, v] : items)
+          reference::pq_push(h, arena, lib, pq, k, v);
+      });
+
+  // The tie rule on its own: equal keys list their values newest first.
+  sim::Heap h(1, 1 << 20);
+  const unsigned arena = h.setup_arena();
+  const sim::Addr l = host_list_new(h, arena, lib.list);
+  host_list_build(h, arena, lib.list, l, items);
+  const auto out = host_list_items(h, lib.list, l);
+  ASSERT_EQ(out.size(), items.size());
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    ASSERT_LE(out[i - 1].first, out[i].first);
+    if (out[i - 1].first == out[i].first) {
+      EXPECT_GT(out[i - 1].second, out[i].second) << "key " << out[i].first;
+    }
+  }
+}
+
+TEST(Builders, HashTableAllocatesInItemOrderAcrossBuckets) {
+  // Memcached's store: distinct keys spread over the buckets, inserted in
+  // ascending order; then the same keys shuffled, plus repeats.
+  ir::Module m;
+  const HashLib lib = build_hash_lib(m, 64);
+  Xoshiro256ss rng(5);
+  std::set<std::int64_t> keys;
+  while (keys.size() < 1500)
+    keys.insert(static_cast<std::int64_t>(rng.next_range(1, 1 << 16)));
+  std::vector<KeyVal> sorted, shuffled;
+  for (const std::int64_t k : keys) sorted.emplace_back(k, k);
+  shuffled = sorted;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  for (std::size_t i = 0; i < 200; ++i)
+    shuffled.emplace_back(sorted[rng.next_below(sorted.size())].first, -1);
+  for (const auto* items : {&sorted, &shuffled})
+    expect_same_heap(
+        [&](sim::Heap& h, unsigned arena) {
+          host_ht_build(h, arena, lib, host_ht_new(h, arena, lib, 64),
+                        *items);
+        },
+        [&](sim::Heap& h, unsigned arena) {
+          const sim::Addr ht = host_ht_new(h, arena, lib, 64);
+          for (const auto& [k, v] : *items)
+            reference::ht_insert(h, arena, lib, ht, k, v);
+        });
+}
+
+TEST(Builders, EmptyAndSingleItemInputs) {
+  ir::Module m;
+  const HashLib ht_lib = build_hash_lib(m, 8);
+  const PqLib pq_lib = build_pq_lib(m, 8);
+  const ListLib& lib = ht_lib.list;
+  for (const std::vector<KeyVal>& items :
+       {std::vector<KeyVal>{}, std::vector<KeyVal>{{7, 70}}}) {
+    expect_same_heap(
+        [&](sim::Heap& h, unsigned arena) {
+          host_list_build(h, arena, lib, host_list_new(h, arena, lib), items);
+        },
+        [&](sim::Heap& h, unsigned arena) {
+          const sim::Addr l = host_list_new(h, arena, lib);
+          for (const auto& [k, v] : items)
+            reference::list_push_sorted(h, arena, lib, l, k, v);
+        });
+    expect_same_heap(
+        [&](sim::Heap& h, unsigned arena) {
+          host_ht_build(h, arena, ht_lib, host_ht_new(h, arena, ht_lib, 8),
+                        items);
+        },
+        [&](sim::Heap& h, unsigned arena) {
+          const sim::Addr ht = host_ht_new(h, arena, ht_lib, 8);
+          for (const auto& [k, v] : items)
+            reference::ht_insert(h, arena, ht_lib, ht, k, v);
+        });
+    expect_same_heap(
+        [&](sim::Heap& h, unsigned arena) {
+          host_pq_build(h, arena, pq_lib, host_pq_new(h, arena, pq_lib, 8, 2),
+                        items);
+        },
+        [&](sim::Heap& h, unsigned arena) {
+          const sim::Addr pq = host_pq_new(h, arena, pq_lib, 8, 2);
+          for (const auto& [k, v] : items)
+            reference::pq_push(h, arena, pq_lib, pq, k, v);
+        });
+  }
+}
+
+TEST(Builders, RejectPopulatedLists) {
+  ir::Module m;
+  const ListLib lib = build_list_lib(m);
+  sim::Heap h(1, 1 << 20);
+  const unsigned arena = h.setup_arena();
+  const sim::Addr l = host_list_new(h, arena, lib);
+  reference::list_push_sorted(h, arena, lib, l, 1, 1);
+  const KeyVal item{2, 2};
+  EXPECT_DEATH(host_list_build(h, arena, lib, l, {&item, 1}), "empty lists");
 }
 
 }  // namespace

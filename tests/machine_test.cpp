@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "sim/machine.hpp"
 
 namespace st::sim {
@@ -98,6 +101,203 @@ TEST(Machine, AdvanceClockAddsIdleTime) {
 TEST(Machine, CoreCountValidated) {
   EXPECT_DEATH(Machine m(0), "");
   EXPECT_DEATH(Machine m(kMaxCores + 1), "");
+}
+
+// ------------------- scheduler differential test --------------------------
+//
+// Machine::run against a reference scheduler kept here: a linear scan for
+// the smallest (queued clock, id). A core's queued clock is the clock its
+// scheduler entry was keyed at; it lags the true clock when another core's
+// step advances it, and is refreshed when it reaches the top. The fusion
+// window's competitor is the smallest queued entry among the other cores.
+
+/// One step of a scripted task: its cost, plus idle time added to another
+/// core's clock from inside the step (`other` < 0: none).
+struct Action {
+  Cycle cost;
+  int other;
+  Cycle amount;
+};
+
+struct Script {
+  std::vector<Action> actions;  // empty: done at install
+  bool fuses = false;  // consumes min(cost, fuse budget), like a fused run
+};
+
+/// What the scheduler offered one step: which core, at what clock, with
+/// which fusion budget.
+struct Step {
+  CoreId core;
+  Cycle start;
+  Cycle budget;
+  bool operator==(const Step&) const = default;
+};
+
+class ScriptedTask final : public CoreTask {
+ public:
+  ScriptedTask(const Script& s, std::vector<Step>* log) : s_(s), log_(log) {}
+
+  Cycle step(Machine& m, CoreId core) override {
+    log_->push_back({core, m.core_clock(core), m.fuse_budget()});
+    const Action& a = s_.actions[next_++];
+    if (a.other >= 0) m.advance_clock(static_cast<CoreId>(a.other), a.amount);
+    return s_.fuses ? std::min(a.cost, m.fuse_budget()) : a.cost;
+  }
+  bool done() const override { return next_ == s_.actions.size(); }
+
+ private:
+  const Script& s_;
+  std::vector<Step>* log_;
+  std::size_t next_ = 0;
+};
+
+struct Scenario {
+  unsigned cores = 1;
+  std::vector<bool> installed;
+  std::vector<Script> scripts;
+  std::vector<Cycle> head_start;  // advance_clock after install
+  bool fusion = true;
+  Cycle slice = 0;  // 0: one unbounded run(); else bounded slices
+};
+
+Scenario random_scenario(Xoshiro256ss& rng) {
+  Scenario sc;
+  sc.cores = static_cast<unsigned>(rng.next_range(1, 12));
+  sc.fusion = rng.chance_pct(70);
+  sc.slice = rng.chance_pct(40) ? rng.next_range(1, 200) : 0;
+  for (unsigned c = 0; c < sc.cores; ++c) {
+    sc.installed.push_back(rng.chance_pct(85));
+    sc.head_start.push_back(rng.chance_pct(30) ? rng.next_below(50) : 0);
+    Script s;
+    s.fuses = rng.chance_pct(50);
+    const std::uint64_t n = rng.chance_pct(10) ? 0 : rng.next_range(1, 60);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Action a{};
+      a.cost = rng.chance_pct(20) ? 0 : rng.next_range(1, 40);
+      a.other = rng.chance_pct(15)
+                    ? static_cast<int>(rng.next_below(sc.cores))
+                    : -1;
+      a.amount = rng.next_range(1, 60);
+      s.actions.push_back(a);
+    }
+    sc.scripts.push_back(std::move(s));
+  }
+  return sc;
+}
+
+/// The reference: same scenario, same observable log, no heap.
+struct ReferenceScheduler {
+  const Scenario& sc;
+  std::vector<Cycle> clock;
+  std::vector<std::size_t> next;
+
+  explicit ReferenceScheduler(const Scenario& s)
+      : sc(s), clock(s.cores, 0), next(s.cores, 0) {
+    for (unsigned c = 0; c < s.cores; ++c) clock[c] += s.head_start[c];
+  }
+
+  bool live(unsigned c) const {
+    return sc.installed[c] && next[c] < sc.scripts[c].actions.size();
+  }
+  bool all_done() const {
+    for (unsigned c = 0; c < sc.cores; ++c)
+      if (live(c)) return false;
+    return true;
+  }
+
+  Cycle run(Cycle max_cycles, std::vector<Step>* log) {
+    std::vector<Cycle> queued = clock;
+    std::vector<bool> in_queue(sc.cores);
+    for (unsigned c = 0; c < sc.cores; ++c) in_queue[c] = live(c);
+    const auto smallest = [&](int skip) {
+      int best = -1;
+      for (unsigned c = 0; c < sc.cores; ++c)
+        if (in_queue[c] && static_cast<int>(c) != skip &&
+            (best < 0 || queued[c] < queued[best]))
+          best = static_cast<int>(c);
+      return best;
+    };
+    for (;;) {
+      const int top = smallest(-1);
+      if (top < 0) break;
+      if (queued[top] != clock[top]) {
+        queued[top] = clock[top];
+        continue;
+      }
+      const Cycle clk = clock[top];
+      if (clk >= max_cycles) break;
+      Cycle limit = max_cycles;
+      if (const int comp = smallest(top); comp >= 0) {
+        const Cycle h = (top < comp && queued[comp] != ~Cycle{0})
+                            ? queued[comp] + 1
+                            : queued[comp];
+        limit = std::min(limit, h);
+      }
+      const Cycle budget = (sc.fusion && limit > clk) ? limit - clk : 1;
+      log->push_back({static_cast<CoreId>(top), clk, budget});
+      const Script& s = sc.scripts[top];
+      const Action& a = s.actions[next[top]++];
+      if (a.other >= 0) clock[a.other] += a.amount;
+      const Cycle used = s.fuses ? std::min(a.cost, budget) : a.cost;
+      clock[top] += std::max<Cycle>(used, 1);
+      queued[top] = clock[top];
+      if (!live(top)) in_queue[top] = false;
+    }
+    return *std::max_element(clock.begin(), clock.end());
+  }
+};
+
+/// Drives `run` (Machine or reference) the way the harness does: one
+/// unbounded call, or bounded slices resumed until every task is done.
+template <typename Run, typename Done>
+std::vector<Cycle> drive(const Scenario& sc, Run run, Done all_done) {
+  std::vector<Cycle> ends;
+  if (sc.slice == 0) {
+    ends.push_back(run(~Cycle{0}));
+    return ends;
+  }
+  Cycle end = 0;
+  while (!all_done() && ends.size() < 100'000) {
+    end = run(end + sc.slice);
+    ends.push_back(end);
+  }
+  return ends;
+}
+
+TEST(Machine, HeapSchedulerMatchesLinearScanReference) {
+  Xoshiro256ss rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Scenario sc = random_scenario(rng);
+
+    Machine m(sc.cores);
+    m.set_step_fusion(sc.fusion);
+    std::vector<Step> got;
+    for (unsigned c = 0; c < sc.cores; ++c)
+      if (sc.installed[c])
+        m.set_task(c, std::make_unique<ScriptedTask>(sc.scripts[c], &got));
+    for (unsigned c = 0; c < sc.cores; ++c)
+      m.advance_clock(c, sc.head_start[c]);
+    const std::vector<Cycle> got_ends = drive(
+        sc, [&](Cycle max) { return m.run(max); },
+        [&] { return m.all_done(); });
+
+    ReferenceScheduler ref(sc);
+    std::vector<Step> want;
+    const std::vector<Cycle> want_ends = drive(
+        sc, [&](Cycle max) { return ref.run(max, &want); },
+        [&] { return ref.all_done(); });
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i])
+          << "step " << i << ": core " << got[i].core << " at "
+          << got[i].start << " budget " << got[i].budget << ", want core "
+          << want[i].core << " at " << want[i].start << " budget "
+          << want[i].budget;
+    ASSERT_EQ(got_ends, want_ends);
+    EXPECT_TRUE(m.all_done());
+  }
 }
 
 }  // namespace
