@@ -13,9 +13,9 @@
 // at decode time only executes when it starts inside the budget).
 //
 // All memory effects go through an ExecEnv, which the transaction executor
-// implements in three flavours: speculative (HTM), irrevocable (plain
-// accesses under the global lock), and setup (single-threaded
-// initialization).
+// implements once per execution tier: speculative (HTM accesses), STM
+// (TL2 read/write sets), and irrevocable (plain accesses under the global
+// lock).
 #pragma once
 
 #include <cstdint>

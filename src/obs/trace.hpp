@@ -28,11 +28,21 @@
 
 namespace st::obs {
 
+/// Execution tier of a transaction attempt (runtime/tx_executor.hpp). The
+/// values are the on-disk encoding of kTxBegin/kTxCommit arg8 and of
+/// runtime::CommitRecord::tier.
+enum class Tier : std::uint8_t {
+  kHtm = 0,          // hardware transaction
+  kIrrevocable = 1,  // serial execution under the global lock
+  kStm = 2,          // TL2 software transaction (src/stm)
+};
+
 enum class EventKind : std::uint8_t {
   kTxBegin = 0,     // a32 = atomic block id, a64 = attempt number (1-based),
-                    // arg8 = execution tier (0 = HTM, 2 = STM)
-  kTxCommit,        // a32 = ab id, a64 = attempts used, arg8 = execution
-                    // tier: 0 = HTM, 1 = irrevocable (glock), 2 = STM
+                    // arg8 = Tier (kHtm or kStm; irrevocable executions
+                    // emit kIrrevocable instead)
+  kTxCommit,        // a32 = ab id, a64 = attempts used (the irrevocable
+                    // execution counts as one), arg8 = committing Tier
   kTxAbort,         // arg8 = htm::AbortCause, pc_tag = hw tag (when valid),
                     // a32 = aborter core + 1 (0 = self/none), a64 = line
   kAlpFired,        // a32 = ALP id, a64 = target line the lock protects
@@ -41,7 +51,8 @@ enum class EventKind : std::uint8_t {
   kLockTimeout,     // a32 = lock index, a64 = cycles spent waiting
   kPolicyDecision,  // arg8 = stagger::PolicyDecision, a32 = anchor ALP,
                     // a64 = conflicting line
-  kIrrevocable,     // a32 = ab id (global-lock serial execution begins)
+  kIrrevocable,     // a32 = ab id, a64 = speculative attempts before it
+                    // (global-lock serial execution begins)
   kBackoff,         // a32 = attempt number, a64 = delay in cycles
   kCoreDone,        // the core's task finished (timeline end marker)
   kLineEscape,      // a line left its arena's private domain: arg8 = owner

@@ -160,13 +160,17 @@ void write_chrome_trace(const TraceData& t, std::FILE* f) {
                     u64_arg("ab", e.a32));
           break;
         case EventKind::kTxCommit: {
+          const auto tier = static_cast<Tier>(e.arg8);
           const std::string name =
               "tx" + std::to_string(e.a32) +
-              (e.arg8 != 0 ? " commit (irrevocable)" : " commit");
+              (tier == Tier::kIrrevocable ? " commit (irrevocable)"
+               : tier == Tier::kStm       ? " commit (stm)"
+                                          : " commit");
           const std::string args =
               u64_arg("attempts", e.a64) + ", " + u64_arg("ab", e.a32);
           if (tx_open)
-            w.span(c, "tx", name, e.arg8 != 0 ? "yellow" : "good", tx_start,
+            w.span(c, "tx", name,
+                   tier == Tier::kIrrevocable ? "yellow" : "good", tx_start,
                    e.at - tx_start, args);
           else
             w.instant(c, "tx", name, e.at, args);

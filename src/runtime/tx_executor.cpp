@@ -8,58 +8,67 @@ using htm::AbortCause;
 using interp::ExecEnv;
 using interp::Interp;
 
-// ---------------------------------------------------------------------------
-// Speculative environment: transactional accesses + live ALPoints.
-// ---------------------------------------------------------------------------
-class TxExecutor::SpecEnv final : public ExecEnv {
- public:
-  explicit SpecEnv(TxExecutor& e) : e_(e) {}
+namespace {
+constexpr unsigned ix(Tier t) { return static_cast<unsigned>(t); }
+}  // namespace
 
-  Mem load(sim::Addr a, unsigned size, std::uint32_t pc) override {
-    const auto r = e_.sys_.htm().load(e_.core_, a, size, pc);
-    return Mem{r.value, r.latency, r.ok};
-  }
-  Mem store(sim::Addr a, std::uint64_t v, unsigned size,
-            std::uint32_t pc) override {
-    const auto r = e_.sys_.htm().store(e_.core_, a, v, size, pc);
-    return Mem{r.value, r.latency, r.ok};
-  }
+// ---------------------------------------------------------------------------
+// Execution environments, one per tier. The base holds what the tiers
+// share: nontransactional accesses, allocation, and live ALPoints.
+// ---------------------------------------------------------------------------
+class TxExecutor::Env : public ExecEnv {
+ public:
+  explicit Env(TxExecutor& e) : e_(e) {}
+
   Mem nt_load(sim::Addr a, unsigned size) override {
-    const auto r = e_.sys_.htm().nontx_load(e_.core_, a, size);
-    return Mem{r.value, r.latency, r.ok};
+    return mem(htm().nontx_load(e_.core_, a, size));
   }
   Mem nt_store(sim::Addr a, std::uint64_t v, unsigned size) override {
-    const auto r = e_.sys_.htm().nontx_store(e_.core_, a, v, size);
-    return Mem{r.value, r.latency, r.ok};
+    return mem(htm().nontx_store(e_.core_, a, v, size));
   }
   Mem alloc(const ir::StructType* t, sim::Addr& out,
             std::uint32_t pc) override {
-    out = e_.sys_.htm().tx_alloc(e_.core_, t->size, pc);
+    out = htm().tx_alloc(e_.core_, t->size, pc);
     return Mem{out, Interp::kAllocCost, true};
   }
-  void free_(sim::Addr a) override { e_.sys_.htm().tx_free(e_.core_, a); }
+  void free_(sim::Addr a) override { htm().tx_free(e_.core_, a); }
 
   AlpResult alpoint(std::uint32_t alp_id, sim::Addr data_addr,
-                    std::uint32_t pc) override {
-    (void)pc;
-    return e_.do_alpoint(alp_id, data_addr, /*check_pending=*/true);
+                    std::uint32_t) override {
+    return e_.alpoint(alp_id, data_addr);
   }
 
- private:
+ protected:
+  template <class Access>
+  static Mem mem(const Access& r) {
+    return Mem{r.value, r.latency, r.ok};
+  }
+  htm::HtmSystem& htm() const { return e_.sys_.htm(); }
   TxExecutor& e_;
 };
 
-// ---------------------------------------------------------------------------
-// STM environment: TL2 read/write-set accesses (src/stm) + live ALPoints.
-// Only constructed when the tier is enabled.
-// ---------------------------------------------------------------------------
-class TxExecutor::StmEnv final : public ExecEnv {
+/// Speculative environment: transactional accesses.
+class TxExecutor::SpecEnv final : public Env {
  public:
-  explicit StmEnv(TxExecutor& e) : e_(e) {}
+  using Env::Env;
 
   Mem load(sim::Addr a, unsigned size, std::uint32_t pc) override {
-    const auto r = e_.sys_.stm()->read(e_.core_, a, size, pc);
-    return Mem{r.value, r.latency, r.ok};
+    return mem(htm().load(e_.core_, a, size, pc));
+  }
+  Mem store(sim::Addr a, std::uint64_t v, unsigned size,
+            std::uint32_t pc) override {
+    return mem(htm().store(e_.core_, a, v, size, pc));
+  }
+};
+
+/// STM environment: TL2 read/write-set accesses (src/stm). Only constructed
+/// when the tier is enabled.
+class TxExecutor::StmEnv final : public Env {
+ public:
+  using Env::Env;
+
+  Mem load(sim::Addr a, unsigned size, std::uint32_t pc) override {
+    return mem(e_.sys_.stm()->read(e_.core_, a, size, pc));
   }
   Mem store(sim::Addr a, std::uint64_t v, unsigned size,
             std::uint32_t pc) override {
@@ -67,100 +76,65 @@ class TxExecutor::StmEnv final : public ExecEnv {
     const sim::Cycle lat = e_.sys_.stm()->write(e_.core_, a, v, size);
     return Mem{v, lat, true};
   }
-  Mem nt_load(sim::Addr a, unsigned size) override {
-    const auto r = e_.sys_.htm().nontx_load(e_.core_, a, size);
-    return Mem{r.value, r.latency, r.ok};
-  }
-  Mem nt_store(sim::Addr a, std::uint64_t v, unsigned size) override {
-    const auto r = e_.sys_.htm().nontx_store(e_.core_, a, v, size);
-    return Mem{r.value, r.latency, r.ok};
-  }
   Mem alloc(const ir::StructType* t, sim::Addr& out,
             std::uint32_t pc) override {
     // The HTM sees no active transaction, so this is a plain allocation;
-    // the executor tracks it for rollback on STM abort (stm_abort).
-    out = e_.sys_.htm().tx_alloc(e_.core_, t->size, pc);
+    // the executor tracks it for rollback on STM abort (retry_or_fall).
+    const Mem m = Env::alloc(t, out, pc);
     e_.stm_allocs_.push_back(out);
-    return Mem{out, Interp::kAllocCost, true};
+    return m;
   }
   void free_(sim::Addr a) override {
     // Deferred like the HTM's tx_free: performed at commit, dropped on
     // abort (the block may still be read by the retry).
     e_.stm_frees_.push_back(a);
   }
-
-  AlpResult alpoint(std::uint32_t alp_id, sim::Addr data_addr,
-                    std::uint32_t pc) override {
-    (void)pc;
-    // Same advisory-lock protocol as the speculative tier — the paper's
-    // scheme serializes conflicting blocks whichever tier runs them. STM
-    // attempts have no asynchronous aborts, so no pending check.
-    return e_.do_alpoint(alp_id, data_addr, /*check_pending=*/false);
-  }
-
- private:
-  TxExecutor& e_;
 };
 
-// ---------------------------------------------------------------------------
-// Plain environment: irrevocable execution under the global lock.
-// ---------------------------------------------------------------------------
-class TxExecutor::PlainEnv final : public ExecEnv {
+/// Plain environment: irrevocable execution under the global lock.
+class TxExecutor::PlainEnv final : public Env {
  public:
-  explicit PlainEnv(TxExecutor& e) : e_(e) {}
+  using Env::Env;
 
   Mem load(sim::Addr a, unsigned size, std::uint32_t pc) override {
     (void)pc;
-    const auto r = e_.sys_.htm().plain_load(e_.core_, a, size);
-    return Mem{r.value, r.latency, r.ok};
+    return mem(htm().plain_load(e_.core_, a, size));
   }
   Mem store(sim::Addr a, std::uint64_t v, unsigned size,
             std::uint32_t pc) override {
-    auto r = e_.sys_.htm().plain_store(e_.core_, a, v, size, pc);
-    // Irrevocable stores are committed state the moment they land; stamp
-    // the covering orec so concurrent STM readers/validators observe them
-    // (DESIGN.md §13 — eager coherence only aborts HTM transactions).
-    if (auto* stm = e_.sys_.stm())
-      r.latency += stm->irrev_stamp(e_.core_, sim::line_addr(a));
-    return Mem{r.value, r.latency, r.ok};
-  }
-  Mem nt_load(sim::Addr a, unsigned size) override {
-    const auto r = e_.sys_.htm().nontx_load(e_.core_, a, size);
-    return Mem{r.value, r.latency, r.ok};
+    const auto r = htm().plain_store(e_.core_, a, v, size, pc);
+    return Mem{r.value, r.latency + stamp(a), r.ok};
   }
   Mem nt_store(sim::Addr a, std::uint64_t v, unsigned size) override {
-    auto r = e_.sys_.htm().nontx_store(e_.core_, a, v, size);
-    if (auto* stm = e_.sys_.stm())
-      r.latency += stm->irrev_stamp(e_.core_, sim::line_addr(a));
-    return Mem{r.value, r.latency, r.ok};
+    Mem m = Env::nt_store(a, v, size);
+    m.latency += stamp(a);
+    return m;
   }
-  Mem alloc(const ir::StructType* t, sim::Addr& out,
-            std::uint32_t pc) override {
-    out = e_.sys_.htm().tx_alloc(e_.core_, t->size, pc);
-    return Mem{out, Interp::kAllocCost, true};
-  }
-  void free_(sim::Addr a) override { e_.sys_.htm().tx_free(e_.core_, a); }
 
   AlpResult alpoint(std::uint32_t, sim::Addr, std::uint32_t) override {
     return {Interp::kInactiveAlpCost, false, true};  // ALPs idle when serial
   }
 
  private:
-  TxExecutor& e_;
+  // Irrevocable stores are committed state the moment they land; stamp the
+  // covering orec so concurrent STM readers/validators observe them
+  // (DESIGN.md §13 — eager coherence only aborts HTM transactions).
+  sim::Cycle stamp(sim::Addr a) {
+    auto* stm = e_.sys_.stm();
+    return stm != nullptr ? stm->irrev_stamp(e_.core_, sim::line_addr(a)) : 0;
+  }
 };
 
 // ---------------------------------------------------------------------------
 
 TxExecutor::TxExecutor(TxSystem& sys, sim::CoreId core)
     : sys_(sys), core_(core) {
-  spec_env_ = std::make_unique<SpecEnv>(*this);
-  plain_env_ = std::make_unique<PlainEnv>(*this);
-  spec_interp_ = std::make_unique<Interp>(*spec_env_);
-  plain_interp_ = std::make_unique<Interp>(*plain_env_);
-  if (sys_.stm() != nullptr) {
-    stm_env_ = std::make_unique<StmEnv>(*this);
-    stm_interp_ = std::make_unique<Interp>(*stm_env_);
-  }
+  env_[ix(Tier::kHtm)] = std::make_unique<SpecEnv>(*this);
+  env_[ix(Tier::kIrrevocable)] = std::make_unique<PlainEnv>(*this);
+  if (sys_.stm() != nullptr)
+    env_[ix(Tier::kStm)] = std::make_unique<StmEnv>(*this);
+  for (unsigned t = 0; t < env_.size(); ++t)
+    if (env_[t] != nullptr) interp_[t] = std::make_unique<Interp>(*env_[t]);
 }
 
 TxExecutor::~TxExecutor() = default;
@@ -177,12 +151,10 @@ void TxExecutor::start(unsigned ab_id, std::vector<std::uint64_t> args) {
   stm_frees_.clear();
   lock_wait_accum_ = 0;
   // STAGTM_MAX_RETRIES=0: skip hardware transactions entirely and start in
-  // the strongest enabled fallback tier.
-  if (sys_.config().max_retries == 0)
-    state_ = sys_.stm() != nullptr ? State::kStmBeginAttempt
-                                   : State::kGlockAcquire;
-  else
-    state_ = State::kBeginAttempt;
+  // the tier HTM exhaustion would fall to.
+  tier_ = Tier::kHtm;
+  if (sys_.config().max_retries == 0) tier_ = fallback_tier();
+  state_ = State::kBegin;
 }
 
 std::uint64_t TxExecutor::take_result() {
@@ -192,7 +164,7 @@ std::uint64_t TxExecutor::take_result() {
 }
 
 bool TxExecutor::abort_waits() const {
-  const auto na = spec_interp_->next_access();
+  const auto na = interp_[ix(Tier::kHtm)]->next_access();
   using K = interp::Interp::NextAccess::Kind;
   switch (na.kind) {
     case K::kPure:
@@ -212,16 +184,19 @@ bool TxExecutor::abort_waits() const {
   }
 }
 
+Tier TxExecutor::fallback_tier() const {
+  if (tier_ == Tier::kHtm && sys_.stm() != nullptr &&
+      sys_.config().stm.retries > 0)
+    return Tier::kStm;
+  return Tier::kIrrevocable;
+}
+
 sim::Cycle TxExecutor::step(sim::Cycle budget) {
   switch (state_) {
-    case State::kBeginAttempt: return begin_attempt();
+    case State::kBegin: return begin_step();
     case State::kRunning: return run_step(budget);
-    case State::kStmBeginAttempt: return stm_begin_attempt();
-    case State::kStmRunning: return stm_run_step(budget);
     case State::kStmLockAcquire: return stm_lock_step();
     case State::kStmCommit: return stm_commit_step();
-    case State::kGlockAcquire: return glock_step();
-    case State::kIrrevRunning: return irrev_step(budget);
     default:
       ST_CHECK_MSG(false, "step() on an idle/finished executor");
       return 1;
@@ -232,9 +207,27 @@ sim::Addr TxExecutor::sched_lock_key() const {
   return sys_.glock_addr() + sim::kLineBytes * (ab_id_ + 1);
 }
 
-interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
-                                                  sim::Addr data_addr,
-                                                  bool check_pending) {
+void TxExecutor::emit(obs::EventKind kind, std::uint8_t arg8,
+                      std::uint32_t a32, std::uint64_t a64) {
+  if (auto* t = sys_.trace())
+    t->emit(core_, {sys_.machine().now(), kind, arg8, 0, a32, a64});
+}
+
+sim::Cycle TxExecutor::lock_spin(sim::Cycle latency) {
+  sys_.stats().core(core_).cycles_lock_wait += latency + kSpinPad;
+  return latency + kSpinPad;
+}
+
+void TxExecutor::lock_timeout(sim::Addr key) {
+  ++sys_.stats().core(core_).alp_timeouts;
+  sys_.policy().on_lock_timeout(*ctx_);
+  if (auto* p = sys_.prov()) p->on_lock_timeout(core_, sys_.machine().now());
+  emit(obs::EventKind::kLockTimeout, 0, sys_.locks().lock_index(key),
+       lock_wait_accum_);
+}
+
+interp::ExecEnv::AlpResult TxExecutor::alpoint(std::uint32_t alp_id,
+                                               sim::Addr data_addr) {
   auto& st = sys_.stats().core(core_);
   stagger::ABContext& ctx = *ctx_;
   sim::Cycle cost = Interp::kInactiveAlpCost;
@@ -256,12 +249,11 @@ interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
     }
     alp_target_ = target;
     lock_wait_accum_ = 0;
-    if (auto* t = sys_.trace())
-      t->emit(core_, {sys_.machine().now(), obs::EventKind::kAlpFired, 0, 0,
-                      alp_id, sim::line_addr(target)});
+    emit(obs::EventKind::kAlpFired, 0, alp_id, sim::line_addr(target));
   }
 
-  if (check_pending && sys_.htm().pending_abort(core_)) {
+  // STM attempts have no asynchronous aborts to observe while waiting.
+  if (tier_ == Tier::kHtm && sys_.htm().pending_abort(core_)) {
     if (auto* p = sys_.prov())
       p->on_lock_wait_aborted(core_, sys_.machine().now());
     spinning_on_alp_ = false;
@@ -278,16 +270,9 @@ interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
   if (lock_wait_accum_ > sys_.config().lock_timeout) {
     // Give up and run unprotected (§2: "simply proceed when the timeout
     // expires"); correctness stays with the TM tier.
-    ++st.alp_timeouts;
     ctx.active_anchor = 0;
     spinning_on_alp_ = false;
-    sys_.policy().on_lock_timeout(ctx);
-    if (auto* p = sys_.prov())
-      p->on_lock_timeout(core_, sys_.machine().now());
-    if (auto* t = sys_.trace())
-      t->emit(core_, {sys_.machine().now(), obs::EventKind::kLockTimeout, 0,
-                      0, sys_.locks().lock_index(alp_target_),
-                      lock_wait_accum_});
+    lock_timeout(alp_target_);
     return {cost + r.latency, false, true};
   }
   spinning_on_alp_ = true;
@@ -295,53 +280,85 @@ interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
   return {r.latency + kSpinPad, true, true};
 }
 
-sim::Cycle TxExecutor::begin_attempt() {
-  // Proactive transaction scheduling (§7 baseline): when the predictor for
-  // this atomic block fired, serialize the WHOLE transaction behind a lock
-  // acquired before xbegin — no partial overlap.
-  if (sys_.config().scheme == Scheme::kTxSched && attempts_ == 0) {
-    stagger::ABContext& ctx = sys_.abctx(core_, ab_id_);
-    if (ctx.configured_anchor != 0 && !sys_.locks().holds_lock(core_)) {
-      const auto r = sys_.locks().try_acquire(core_, sched_lock_key());
-      if (!r.acquired) {
-        lock_wait_accum_ += r.latency + kSpinPad;
-        auto& st = sys_.stats().core(core_);
-        if (lock_wait_accum_ > sys_.config().lock_timeout) {
-          ++st.alp_timeouts;
-          sys_.policy().on_lock_timeout(ctx);
-          if (auto* p = sys_.prov())
-            p->on_lock_timeout(core_, sys_.machine().now());
-          if (auto* t = sys_.trace())
-            t->emit(core_, {sys_.machine().now(),
-                            obs::EventKind::kLockTimeout, 0, 0,
-                            sys_.locks().lock_index(sched_lock_key()),
-                            lock_wait_accum_});
-          lock_wait_accum_ = 0;  // proceed unprotected
+sim::Cycle TxExecutor::begin_step() {
+  // Tier gate: spin (returning the spin's cost) until the tier may start.
+  sim::Cycle cost = 0;
+  switch (tier_) {
+    case Tier::kHtm:
+      // Proactive transaction scheduling (§7 baseline): when the predictor
+      // for this atomic block fired, serialize the WHOLE transaction behind
+      // a lock acquired before xbegin — no partial overlap.
+      if (sys_.config().scheme == Scheme::kTxSched && attempts_ == 0 &&
+          ctx_->configured_anchor != 0 && !sys_.locks().holds_lock(core_)) {
+        const auto r = sys_.locks().try_acquire(core_, sched_lock_key());
+        if (r.acquired) {
+          ++sys_.stats().core(core_).alp_acquires;
         } else {
-          st.cycles_lock_wait += r.latency + kSpinPad;
-          return r.latency + kSpinPad;  // keep spinning in this state
+          lock_wait_accum_ += r.latency + kSpinPad;
+          if (lock_wait_accum_ <= sys_.config().lock_timeout)
+            return lock_spin(r.latency);
+          lock_timeout(sched_lock_key());  // proceed unprotected
         }
-      } else {
-        ++sys_.stats().core(core_).alp_acquires;
       }
+      break;
+    case Tier::kStm: {
+      // STM attempts never start while an irrevocable execution holds the
+      // global lock: its plain stores bypass orec locking, so running under
+      // it could validate against half-applied state. Spin here (glock
+      // holders are short-lived by design).
+      const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
+      if (g.value != 0) return lock_spin(g.latency);
+      cost = g.latency;
+      break;
+    }
+    case Tier::kIrrevocable: {
+      const auto cas =
+          sys_.htm().nontx_cas(core_, sys_.glock_addr(), 0, core_ + 1);
+      if (!cas.success) return lock_spin(cas.latency);
+      cost = cas.latency;
+      break;
     }
   }
-  ++attempts_;
+
   attempt_cycles_ = 0;
   lock_wait_accum_ = 0;
   spinning_on_alp_ = false;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxBegin, 0, 0,
-                    ab_id_, attempts_});
-  if (auto* p = sys_.prov()) p->on_attempt_begin(core_, ab_id_, attempts_);
-  ctx_->arm();
-  if (sys_.config().scheme == Scheme::kStaggeredSW)
-    sys_.cpc().begin_tx(core_);
-  sys_.htm().begin(core_);
-  spec_interp_->start(func_, args_);
+  if (tier_ == Tier::kIrrevocable) {
+    ++sys_.stats().core(core_).irrevocable_entries;
+    emit(obs::EventKind::kIrrevocable, 0, ab_id_, total_attempts());
+    if (auto* p = sys_.prov()) p->on_irrev_begin(core_, ab_id_);
+    if (auto* stm = sys_.stm()) {
+      // Irrevocable writes serialize after everything committed so far:
+      // bump the clock once and stamp the orec of every line this execution
+      // stores to at the new version (PlainEnv::store). STM attempts cannot
+      // begin while the glock is held, and live ones fail validation on any
+      // stamped orec they read.
+      const auto clk = sys_.htm().nontx_load(core_, stm->clock_addr(), 8);
+      const std::uint64_t wv = clk.value + 1;
+      const auto cs = sys_.htm().nontx_store(core_, stm->clock_addr(), wv, 8);
+      cost += clk.latency + cs.latency;
+      stm->begin_irrev(core_, wv);
+    }
+    // The serial execution's cycles count from its first instruction.
+  } else {
+    ++(tier_ == Tier::kHtm ? attempts_ : stm_attempts_);
+    emit(obs::EventKind::kTxBegin, static_cast<std::uint8_t>(tier_), ab_id_,
+         total_attempts());
+    if (auto* p = sys_.prov())
+      p->on_attempt_begin(core_, ab_id_, total_attempts());
+    ctx_->arm();
+    if (sys_.config().scheme == Scheme::kStaggeredSW)
+      sys_.cpc().begin_tx(core_);
+    cost += kBeginCost;
+    if (tier_ == Tier::kStm)
+      cost += sys_.stm()->begin(core_);
+    else
+      sys_.htm().begin(core_);
+    attempt_cycles_ += cost;
+  }
+  interp().start(func_, args_);
   state_ = State::kRunning;
-  attempt_cycles_ += kBeginCost;
-  return kBeginCost;
+  return cost;
 }
 
 sim::Cycle TxExecutor::run_step(sim::Cycle budget) {
@@ -351,35 +368,54 @@ sim::Cycle TxExecutor::run_step(sim::Cycle budget) {
   // as a real core keeps retiring until the abort interrupt lands. The
   // abort's timing is thus a function of the victim's own instruction
   // stream (see abort_waits).
-  if (sys_.htm().pending_abort(core_) && !abort_waits())
-    return handle_abort(AbortCause::None);
+  if (tier_ == Tier::kHtm && sys_.htm().pending_abort(core_) &&
+      !abort_waits())
+    return retry_or_fall(AbortCause::None);
   last_step_lock_wait_ = false;
-  const auto s = spec_interp_->step(budget);
+  const auto s = interp().step(budget);
   if (s.aborted) {
-    // The instruction observed the transaction's death; its cycles are part
-    // of the doomed attempt.
+    // The instruction observed the attempt's death (for STM, a read failed
+    // its orec precheck: TL2 opacity abort); its cycles are part of the
+    // doomed attempt.
     attempt_cycles_ += s.cycles;
-    return s.cycles + handle_abort(AbortCause::None);
+    return s.cycles + retry_or_fall(tier_ == Tier::kStm
+                                        ? AbortCause::StmValidation
+                                        : AbortCause::None);
   }
   if (last_step_lock_wait_)
     sys_.stats().core(core_).cycles_lock_wait += s.cycles;
   else
     attempt_cycles_ += s.cycles;
-  if (s.finished) return s.cycles + commit_sequence();
+  if (!s.finished) return s.cycles;
+
+  switch (tier_) {
+    case Tier::kHtm: return s.cycles + htm_commit();
+    case Tier::kStm:
+      if (sys_.stm()->read_only(core_))
+        return s.cycles + stm_commit_step();  // nothing to lock
+      lock_wait_accum_ = 0;
+      state_ = State::kStmLockAcquire;
+      return s.cycles;
+    case Tier::kIrrevocable: {
+      // The glock is released only after the commit is logged.
+      const sim::Cycle cost = s.cycles + finish_commit();
+      return cost +
+             sys_.htm().nontx_store(core_, sys_.glock_addr(), 0, 8).latency;
+    }
+  }
   return s.cycles;
 }
 
-sim::Cycle TxExecutor::commit_sequence() {
+sim::Cycle TxExecutor::htm_commit() {
   sim::Cycle cost = 0;
   // Lazy subscription: read the global fallback lock transactionally right
   // before commit (§6 "Compiler and HTM Runtime"). The unsafe knob models
   // a build with the subscription compiled out (checker validation only).
   if (!sys_.config().unsafe_skip_subscription) {
     const auto sub = sys_.htm().load(core_, sys_.glock_addr(), 8, 0);
-    cost += sub.latency;
-    attempt_cycles_ += sub.latency;
-    if (!sub.ok) return cost + handle_abort(AbortCause::None);
-    if (sub.value != 0) return cost + handle_abort(AbortCause::Glock);
+    cost += charge(sub.latency);
+    if (!sub.ok) return cost + retry_or_fall(AbortCause::None);
+    if (sub.value != 0) return cost + retry_or_fall(AbortCause::Glock);
   }
 
   // HTM<->STM coexistence (DESIGN.md §13), subscription-style: inspect the
@@ -399,70 +435,130 @@ sim::Cycle TxExecutor::commit_sequence() {
       const auto& orecs = stm->orecs_for_lines(lines);
       for (std::uint32_t idx : orecs) {
         const auto w = sys_.htm().nontx_load(core_, stm->orec_addr(idx), 8);
-        cost += w.latency;
-        attempt_cycles_ += w.latency;
-        if (!w.ok) return cost + handle_abort(AbortCause::None);
+        cost += charge(w.latency);
+        if (!w.ok) return cost + retry_or_fall(AbortCause::None);
         if (stm::orec_locked(w.value))
-          return cost + handle_abort(AbortCause::StmLock);
+          return cost + retry_or_fall(AbortCause::StmLock);
       }
       const auto clk = sys_.htm().nontx_load(core_, stm->clock_addr(), 8);
-      cost += clk.latency;
-      attempt_cycles_ += clk.latency;
-      if (!clk.ok) return cost + handle_abort(AbortCause::None);
+      cost += charge(clk.latency);
+      if (!clk.ok) return cost + retry_or_fall(AbortCause::None);
       stm_wv = clk.value + 1;
       const auto cs =
           sys_.htm().nontx_store(core_, stm->clock_addr(), stm_wv, 8);
-      cost += cs.latency;
-      attempt_cycles_ += cs.latency;
+      cost += charge(cs.latency);
       stamp_orecs = &orecs;
     }
   }
 
-  const bool held = sys_.locks().holds_lock(core_);
-  // "No contention on that lock" (§5.2): nobody queued on the lock AND the
-  // transaction needed no retries — evidence the serialization was not
-  // earning its keep, so the policy may decay the activation.
-  const bool contended =
-      sys_.locks().contended_while_held(core_) && attempts_ > 1;
   sim::Cycle publish = 0;
   if (!sys_.htm().commit(core_, &publish))
-    return cost + handle_abort(AbortCause::None);
+    return cost + retry_or_fall(AbortCause::None);
 
   if (stamp_orecs != nullptr) {
     for (std::uint32_t idx : *stamp_orecs) {
       const auto ss = sys_.htm().nontx_store(
           core_, sys_.stm()->orec_addr(idx), stm::orec_word(stm_wv, false),
           8);
-      cost += ss.latency;
-      attempt_cycles_ += ss.latency;
+      cost += charge(ss.latency);
     }
   }
 
-  cost += kCommitCost + publish;
-  attempt_cycles_ += kCommitCost + publish;
-  cost += sys_.locks().release(core_);
-  if (sys_.config().scheme != Scheme::kBaseline)
-    sys_.policy().on_commit(*ctx_, held, contended, attempts_ == 1);
+  cost += charge(kCommitCost + publish);
+  return cost + finish_commit();
+}
+
+sim::Cycle TxExecutor::stm_lock_step() {
+  // A concurrent irrevocable execution can stamp (clobber) orecs we hold;
+  // bail out before acquiring more rather than validating against its
+  // half-applied writes. Observing the glock free here is enough: the
+  // stamps an irrevocable execution already finished are ordinary version
+  // bumps that commit-time validation checks like any other.
+  const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
+  attempt_cycles_ += g.latency;
+  if (g.value != 0) return g.latency + retry_or_fall(AbortCause::StmGlock);
+
+  const auto ls = sys_.stm()->lock_next(core_);
+  if (ls.status == stm::StmSystem::LockStatus::kBusy) {
+    // Bounded spin on another writer's orec: same timestamp policy as the
+    // advisory-lock spin. We deliberately do NOT wait while holding locks
+    // forever — the timeout breaks writer-writer deadlocks.
+    lock_wait_accum_ += ls.latency + kSpinPad;
+    const sim::Cycle spin = lock_spin(g.latency + ls.latency);
+    if (lock_wait_accum_ > sys_.config().lock_timeout)
+      return ls.latency + retry_or_fall(AbortCause::StmLock);
+    return spin;
+  }
+  attempt_cycles_ += ls.latency;
+  if (ls.status == stm::StmSystem::LockStatus::kAllHeld)
+    state_ = State::kStmCommit;
+  return g.latency + ls.latency;
+}
+
+sim::Cycle TxExecutor::stm_commit_step() {
+  auto* stm = sys_.stm();
+  sim::Cycle cost = 0;
+  if (!stm->read_only(core_)) {
+    // Writers must not drain their redo log concurrently with an
+    // irrevocable execution's plain stores. (Read-only commits need no such
+    // check: validation alone proves they serialize before any in-flight
+    // irrevocable writer.)
+    const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
+    cost += charge(g.latency);
+    if (g.value != 0) return cost + retry_or_fall(AbortCause::StmGlock);
+  }
+  const auto r = stm->commit(core_);
+  cost += charge(r.latency + kCommitCost);
+  if (!r.ok) return cost + retry_or_fall(AbortCause::StmValidation);
+
+  // Committed: perform deferred frees, keep the attempt's allocations.
+  for (sim::Addr a : stm_frees_) sys_.heap().try_dealloc(a);
+  stm_frees_.clear();
+  stm_allocs_.clear();
+  return cost + finish_commit();
+}
+
+sim::Cycle TxExecutor::finish_commit() {
+  // The serial execution counts as the final "attempt" after the failed
+  // speculative (HTM + STM) tries.
+  const unsigned attempt_no =
+      total_attempts() + (tier_ == Tier::kIrrevocable ? 1 : 0);
+  sim::Cycle cost = 0;
+  if (tier_ != Tier::kIrrevocable) {
+    const bool held = sys_.locks().holds_lock(core_);
+    // "No contention on that lock" (§5.2): nobody queued on the lock AND
+    // the transaction needed no retries — evidence the serialization was
+    // not earning its keep, so the policy may decay the activation.
+    const bool contended =
+        sys_.locks().contended_while_held(core_) && attempt_no > 1;
+    cost += sys_.locks().release(core_);
+    if (sys_.config().scheme != Scheme::kBaseline)
+      sys_.policy().on_commit(*ctx_, held, contended, attempt_no == 1);
+  }
 
   auto& st = sys_.stats().core(core_);
-  st.cycles_useful_tx += attempt_cycles_;
-  st.tx_instrs += spec_interp_->instrs_executed();
-  st.interp_instrs += spec_interp_->instrs_executed();
+  // HtmSystem::commit counts hardware commits; a serialized execution
+  // still commits its atomic block.
+  if (tier_ != Tier::kHtm) ++st.commits;
+  if (tier_ == Tier::kStm) ++st.stm_commits;
+  (tier_ == Tier::kIrrevocable ? st.cycles_irrevocable : st.cycles_useful_tx) +=
+      attempt_cycles_;
+  st.tx_instrs += interp().instrs_executed();
+  st.interp_instrs += interp().instrs_executed();
   st.h_tx_cycles.add(attempt_cycles_);
-  st.h_tx_retries.add(attempts_);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxCommit, 0, 0,
-                    ab_id_, attempts_});
+  st.h_tx_retries.add(attempt_no);
+  emit(obs::EventKind::kTxCommit, static_cast<std::uint8_t>(tier_), ab_id_,
+       attempt_no);
   if (auto* p = sys_.prov()) p->on_attempt_commit(core_, sys_.machine().now());
-  result_ = spec_interp_->result();
+  result_ = interp().result();
   // The result crosses into the host (workload next_op logic), which can
   // hand it to any other core: publication point.
   sys_.htm().publish_host_value(core_, result_);
   if (auto* log = sys_.commit_log())
     log->push_back({sys_.machine().now(), core_,
                     static_cast<std::uint16_t>(ab_id_),
-                    static_cast<std::uint16_t>(attempts_),
-                    /*irrevocable=*/false, /*tier=*/0, result_, args_});
+                    static_cast<std::uint16_t>(attempt_no), tier_, result_,
+                    args_});
   state_ = State::kFinished;
   return cost;
 }
@@ -516,302 +612,80 @@ void TxExecutor::resolve_and_train(const htm::AbortInfo& info) {
   sys_.policy().on_abort(*ctx_, identified, info.conflict_line);
 }
 
-sim::Cycle TxExecutor::handle_abort(AbortCause self_cause) {
-  const auto info = sys_.htm().abort(core_, self_cause);
+sim::Cycle TxExecutor::retry_or_fall(AbortCause cause) {
+  ST_CHECK_MSG(tier_ != Tier::kIrrevocable,
+               "irrevocable execution cannot abort");
   sim::Cycle cost = kAbortHandlerCost;
+  htm::AbortInfo info;
+  if (tier_ == Tier::kHtm) {
+    info = sys_.htm().abort(core_, cause);
+  } else {
+    // commit() failure already released + reset; every other path aborts
+    // the live attempt here.
+    auto* stm = sys_.stm();
+    if (stm->active(core_)) cost += stm->abort(core_);
+    info.cause = cause;
+    info.conflict_line = sim::line_addr(stm->conflict_addr(core_));
+  }
   cost += sys_.locks().release(core_);
   spinning_on_alp_ = false;
-  // With the STM tier on, exhausting HTM retries falls to STM, not the
-  // glock — will_glock stays accurate for the blame pipeline.
-  const bool exhausted = attempts_ >= sys_.config().max_retries;
-  const bool will_glock = exhausted && sys_.stm() == nullptr;
-  if (auto* p = sys_.prov())
-    p->on_attempt_abort(core_, attempts_, attempt_cycles_, will_glock,
-                        sys_.machine().now());
 
   auto& st = sys_.stats().core(core_);
+  if (tier_ == Tier::kStm) {
+    // Roll back this attempt's allocations (forward order, mirroring
+    // HtmSystem::abort, so the live and replayed allocator streams match);
+    // drop deferred frees.
+    for (sim::Addr a : stm_allocs_) sys_.heap().try_dealloc(a);
+    stm_allocs_.clear();
+    stm_frees_.clear();
+    switch (cause) {
+      case AbortCause::StmLock: ++st.stm_aborts_lock; break;
+      case AbortCause::StmGlock: ++st.stm_aborts_glock; break;
+      default: ++st.stm_aborts_validation; break;
+    }
+    // HtmSystem::abort records hardware aborts itself.
+    const sim::Addr line = info.conflict_line;
+    emit(obs::EventKind::kTxAbort, static_cast<std::uint8_t>(cause),
+         /*aborter=*/0, line);
+    if (auto* p = sys_.prov())
+      p->on_abort_finalize(core_, static_cast<std::uint8_t>(cause), line,
+                           /*pc_tag_valid=*/false, /*pc_tag=*/0,
+                           /*first_pc=*/0, sys_.heap().alloc_site_for(line),
+                           sys_.privacy().private_owner(line),
+                           sys_.machine().now(), /*stm_tier=*/true);
+  }
+
+  const bool exhausted =
+      tier_ == Tier::kHtm ? attempts_ >= sys_.config().max_retries
+                          : stm_attempts_ >= sys_.config().stm.retries;
+  const Tier next = exhausted ? fallback_tier() : tier_;
+  if (auto* p = sys_.prov())
+    p->on_attempt_abort(core_, total_attempts(), attempt_cycles_,
+                        /*will_glock=*/next == Tier::kIrrevocable,
+                        sys_.machine().now());
   st.cycles_wasted_tx += attempt_cycles_;
   // Host-throughput accounting: the doomed attempt's instructions were
   // interpreted even though they never commit.
-  st.interp_instrs += spec_interp_->instrs_executed();
+  st.interp_instrs += interp().instrs_executed();
 
-  if (info.cause == AbortCause::Conflict) resolve_and_train(info);
+  // Data conflicts train the advisory-lock policy in both tiers: hardware
+  // conflict aborts, and orec conflicts (the CPC map recorded this STM
+  // attempt's ALP visits, so StaggeredSW resolution works the same).
+  if (tier_ == Tier::kHtm ? info.cause == AbortCause::Conflict
+                          : cause != AbortCause::StmGlock)
+    resolve_and_train(info);
 
+  state_ = State::kBegin;
   if (exhausted) {
-    state_ = sys_.stm() != nullptr ? State::kStmBeginAttempt
-                                   : State::kGlockAcquire;
+    tier_ = next;
     return cost;
   }
   // Polite backoff: mean delay proportional to the retry count.
-  const sim::Cycle mean = sys_.config().backoff_base * attempts_;
-  const sim::Cycle delay = sys_.rng(core_).next_below(2 * mean + 1);
-  st.cycles_backoff += delay;
-  st.h_tx_backoff.add(delay);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kBackoff, 0, 0,
-                    attempts_, delay});
-  state_ = State::kBeginAttempt;
-  return cost + delay;
-}
-
-sim::Cycle TxExecutor::glock_step() {
-  const auto cas = sys_.htm().nontx_cas(core_, sys_.glock_addr(), 0, core_ + 1);
-  if (!cas.success) {
-    sys_.stats().core(core_).cycles_lock_wait += cas.latency + kSpinPad;
-    return cas.latency + kSpinPad;
-  }
-  ++sys_.stats().core(core_).irrevocable_entries;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kIrrevocable, 0,
-                    0, ab_id_, total_attempts()});
-  if (auto* p = sys_.prov()) p->on_irrev_begin(core_, ab_id_);
-  attempt_cycles_ = 0;
-  sim::Cycle cost = cas.latency;
-  if (auto* stm = sys_.stm()) {
-    // Irrevocable writes serialize after everything committed so far: bump
-    // the clock once and stamp the orec of every line this execution
-    // stores to at the new version (PlainEnv::store). STM attempts cannot
-    // begin while the glock is held, and live ones fail validation on any
-    // stamped orec they read.
-    const auto clk = sys_.htm().nontx_load(core_, stm->clock_addr(), 8);
-    const std::uint64_t wv = clk.value + 1;
-    const auto cs = sys_.htm().nontx_store(core_, stm->clock_addr(), wv, 8);
-    cost += clk.latency + cs.latency;
-    stm->begin_irrev(core_, wv);
-  }
-  plain_interp_->start(func_, args_);
-  state_ = State::kIrrevRunning;
-  return cost;
-}
-
-sim::Cycle TxExecutor::irrev_step(sim::Cycle budget) {
-  const auto s = plain_interp_->step(budget);
-  ST_CHECK_MSG(!s.aborted, "irrevocable execution cannot abort");
-  attempt_cycles_ += s.cycles;
-  if (!s.finished) return s.cycles;
-
-  auto& st = sys_.stats().core(core_);
-  st.cycles_irrevocable += attempt_cycles_;
-  st.tx_instrs += plain_interp_->instrs_executed();
-  st.interp_instrs += plain_interp_->instrs_executed();
-  ++st.commits;  // a serialized execution still commits its atomic block
-  st.h_tx_cycles.add(attempt_cycles_);
-  // The serial execution counts as the final "attempt" after the failed
-  // speculative (HTM + STM) tries.
-  st.h_tx_retries.add(total_attempts() + 1);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxCommit,
-                    /*tier=*/1, 0, ab_id_, total_attempts() + 1});
-  if (auto* p = sys_.prov()) p->on_attempt_commit(core_, sys_.machine().now());
-  result_ = plain_interp_->result();
-  sys_.htm().publish_host_value(core_, result_);
-  if (auto* log = sys_.commit_log())
-    log->push_back({sys_.machine().now(), core_,
-                    static_cast<std::uint16_t>(ab_id_),
-                    static_cast<std::uint16_t>(total_attempts() + 1),
-                    /*irrevocable=*/true, /*tier=*/1, result_, args_});
-  const sim::Cycle rel =
-      sys_.htm().nontx_store(core_, sys_.glock_addr(), 0, 8).latency;
-  state_ = State::kFinished;
-  return s.cycles + rel;
-}
-
-// ---------------------------------------------------------------------------
-// STM tier (DESIGN.md §13). Reached only when sys_.stm() != nullptr, so the
-// interpreter/env members are always live here.
-// ---------------------------------------------------------------------------
-
-sim::Cycle TxExecutor::stm_begin_attempt() {
-  auto* stm = sys_.stm();
-  // STM attempts never start while an irrevocable execution holds the
-  // global lock: its plain stores bypass orec locking, so running under it
-  // could validate against half-applied state. Spin here (glock holders
-  // are short-lived by design).
-  const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
-  if (g.value != 0) {
-    sys_.stats().core(core_).cycles_lock_wait += g.latency + kSpinPad;
-    return g.latency + kSpinPad;
-  }
-  ++stm_attempts_;
-  attempt_cycles_ = 0;
-  lock_wait_accum_ = 0;
-  spinning_on_alp_ = false;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxBegin,
-                    /*tier=*/2, 0, ab_id_, total_attempts()});
-  if (auto* p = sys_.prov())
-    p->on_attempt_begin(core_, ab_id_, total_attempts());
-  ctx_->arm();
-  if (sys_.config().scheme == Scheme::kStaggeredSW) sys_.cpc().begin_tx(core_);
-  const sim::Cycle bl = stm->begin(core_);
-  stm_interp_->start(func_, args_);
-  state_ = State::kStmRunning;
-  attempt_cycles_ += kBeginCost + g.latency + bl;
-  return kBeginCost + g.latency + bl;
-}
-
-sim::Cycle TxExecutor::stm_run_step(sim::Cycle budget) {
-  last_step_lock_wait_ = false;
-  const auto s = stm_interp_->step(budget);
-  if (s.aborted) {
-    // An StmEnv read failed its orec precheck (locked, or written since our
-    // read version): TL2 opacity abort.
-    attempt_cycles_ += s.cycles;
-    return s.cycles + stm_abort(AbortCause::StmValidation);
-  }
-  if (last_step_lock_wait_)
-    sys_.stats().core(core_).cycles_lock_wait += s.cycles;
-  else
-    attempt_cycles_ += s.cycles;
-  if (s.finished) {
-    if (sys_.stm()->read_only(core_))
-      return s.cycles + stm_commit_step();  // nothing to lock
-    lock_wait_accum_ = 0;
-    state_ = State::kStmLockAcquire;
-  }
-  return s.cycles;
-}
-
-sim::Cycle TxExecutor::stm_lock_step() {
-  // A concurrent irrevocable execution can stamp (clobber) orecs we hold;
-  // bail out before acquiring more rather than validating against its
-  // half-applied writes. Observing the glock free here is enough: the
-  // stamps an irrevocable execution already finished are ordinary version
-  // bumps that commit-time validation checks like any other.
-  const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
-  attempt_cycles_ += g.latency;
-  if (g.value != 0) return g.latency + stm_abort(AbortCause::StmGlock);
-
-  const auto ls = sys_.stm()->lock_next(core_);
-  if (ls.status == stm::StmSystem::LockStatus::kBusy) {
-    // Bounded spin on another writer's orec: same timestamp policy as the
-    // advisory-lock spin. We deliberately do NOT wait while holding locks
-    // forever — the timeout breaks writer-writer deadlocks.
-    lock_wait_accum_ += ls.latency + kSpinPad;
-    sys_.stats().core(core_).cycles_lock_wait +=
-        g.latency + ls.latency + kSpinPad;
-    if (lock_wait_accum_ > sys_.config().lock_timeout)
-      return ls.latency + stm_abort(AbortCause::StmLock);
-    return g.latency + ls.latency + kSpinPad;
-  }
-  attempt_cycles_ += ls.latency;
-  if (ls.status == stm::StmSystem::LockStatus::kAllHeld)
-    state_ = State::kStmCommit;
-  return g.latency + ls.latency;
-}
-
-sim::Cycle TxExecutor::stm_commit_step() {
-  auto* stm = sys_.stm();
-  sim::Cycle cost = 0;
-  if (!stm->read_only(core_)) {
-    // Writers must not drain their redo log concurrently with an
-    // irrevocable execution's plain stores. (Read-only commits need no such
-    // check: validation alone proves they serialize before any in-flight
-    // irrevocable writer.)
-    const auto g = sys_.htm().nontx_load(core_, sys_.glock_addr(), 8);
-    cost += g.latency;
-    attempt_cycles_ += g.latency;
-    if (g.value != 0) return cost + stm_abort(AbortCause::StmGlock);
-  }
-  const auto r = stm->commit(core_);
-  cost += r.latency + kCommitCost;
-  attempt_cycles_ += r.latency + kCommitCost;
-  if (!r.ok) return cost + stm_abort(AbortCause::StmValidation);
-
-  // Committed: perform deferred frees, keep the attempt's allocations.
-  for (sim::Addr a : stm_frees_) sys_.heap().try_dealloc(a);
-  stm_frees_.clear();
-  stm_allocs_.clear();
-
-  const bool held = sys_.locks().holds_lock(core_);
-  const bool contended =
-      sys_.locks().contended_while_held(core_) && total_attempts() > 1;
-  cost += sys_.locks().release(core_);
-  if (sys_.config().scheme != Scheme::kBaseline)
-    sys_.policy().on_commit(*ctx_, held, contended, total_attempts() == 1);
-
-  auto& st = sys_.stats().core(core_);
-  ++st.commits;
-  ++st.stm_commits;
-  st.cycles_useful_tx += attempt_cycles_;
-  st.tx_instrs += stm_interp_->instrs_executed();
-  st.interp_instrs += stm_interp_->instrs_executed();
-  st.h_tx_cycles.add(attempt_cycles_);
-  st.h_tx_retries.add(total_attempts());
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxCommit,
-                    /*tier=*/2, 0, ab_id_, total_attempts()});
-  if (auto* p = sys_.prov()) p->on_attempt_commit(core_, sys_.machine().now());
-  result_ = stm_interp_->result();
-  sys_.htm().publish_host_value(core_, result_);
-  if (auto* log = sys_.commit_log())
-    log->push_back({sys_.machine().now(), core_,
-                    static_cast<std::uint16_t>(ab_id_),
-                    static_cast<std::uint16_t>(total_attempts()),
-                    /*irrevocable=*/false, /*tier=*/2, result_, args_});
-  state_ = State::kFinished;
-  return cost;
-}
-
-sim::Cycle TxExecutor::stm_abort(AbortCause cause) {
-  auto* stm = sys_.stm();
-  sim::Cycle cost = kAbortHandlerCost;
-  // commit() failure already released + reset; every other path aborts the
-  // live attempt here.
-  if (stm->active(core_)) cost += stm->abort(core_);
-  const sim::Addr line = sim::line_addr(stm->conflict_addr(core_));
-  cost += sys_.locks().release(core_);
-  spinning_on_alp_ = false;
-  // Roll back this attempt's allocations (forward order, mirroring
-  // HtmSystem::abort, so the live and replayed allocator streams match);
-  // drop deferred frees.
-  for (sim::Addr a : stm_allocs_) sys_.heap().try_dealloc(a);
-  stm_allocs_.clear();
-  stm_frees_.clear();
-
-  auto& st = sys_.stats().core(core_);
-  switch (cause) {
-    case AbortCause::StmLock: ++st.stm_aborts_lock; break;
-    case AbortCause::StmGlock: ++st.stm_aborts_glock; break;
-    default: ++st.stm_aborts_validation; break;
-  }
-  st.cycles_wasted_tx += attempt_cycles_;
-  st.interp_instrs += stm_interp_->instrs_executed();
-
-  const bool will_glock = stm_attempts_ >= sys_.config().stm.retries;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxAbort,
-                    static_cast<std::uint8_t>(cause), 0, /*aborter=*/0, line});
-  if (auto* p = sys_.prov()) {
-    p->on_abort_finalize(core_, static_cast<std::uint8_t>(cause), line,
-                         /*pc_tag_valid=*/false, /*pc_tag=*/0,
-                         /*first_pc=*/0, sys_.heap().alloc_site_for(line),
-                         sys_.privacy().private_owner(line),
-                         sys_.machine().now(), /*stm_tier=*/true);
-    p->on_attempt_abort(core_, total_attempts(), attempt_cycles_, will_glock,
-                        sys_.machine().now());
-  }
-  // Orec conflicts are real data conflicts: train the advisory-lock policy
-  // across tiers (the CPC map recorded this attempt's ALP visits, so
-  // StaggeredSW resolution works the same as for HTM aborts).
-  if (cause != AbortCause::StmGlock) {
-    htm::AbortInfo info;
-    info.cause = cause;
-    info.conflict_line = line;
-    resolve_and_train(info);
-  }
-  if (will_glock) {
-    state_ = State::kGlockAcquire;
-    return cost;
-  }
   const sim::Cycle mean = sys_.config().backoff_base * total_attempts();
   const sim::Cycle delay = sys_.rng(core_).next_below(2 * mean + 1);
   st.cycles_backoff += delay;
   st.h_tx_backoff.add(delay);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kBackoff, 0, 0,
-                    total_attempts(), delay});
-  state_ = State::kStmBeginAttempt;
+  emit(obs::EventKind::kBackoff, 0, total_attempts(), delay);
   return cost + delay;
 }
 

@@ -18,6 +18,8 @@
 
 namespace st::runtime {
 
+using obs::Tier;
+
 /// Which contention-reduction scheme the runtime applies (Fig. 7 legend,
 /// plus the §7 related-work baseline).
 enum class Scheme : std::uint8_t {
@@ -59,10 +61,7 @@ struct CommitRecord {
   sim::CoreId core = 0;
   std::uint16_t ab_id = 0;
   std::uint16_t attempts = 0;
-  bool irrevocable = false;
-  /// Execution tier that committed the block: 0 = HTM, 1 = irrevocable
-  /// global lock (mirrors `irrevocable`), 2 = STM fallback.
-  std::uint8_t tier = 0;
+  Tier tier = Tier::kHtm;  // execution tier that committed the block
   std::uint64_t result = 0;
   std::vector<std::uint64_t> args;
 };

@@ -38,7 +38,8 @@
 //   STAGTM_STM=on|off        enable the tier (default off — the executor
 //                            falls straight from HTM retries to the glock,
 //                            byte-identical to builds without this file)
-//   STAGTM_STM_RETRIES=<n>   STM attempts before the glock (default 8)
+//   STAGTM_STM_RETRIES=<n>   STM attempts before the glock (default 8;
+//                            0 = HTM exhaustion goes straight to the glock)
 //   STAGTM_STM_ORECS=<n>     orec-table size, power of two (default 4096)
 #pragma once
 
@@ -57,7 +58,7 @@ using sim::Cycle;
 
 struct StmConfig {
   bool enabled = false;
-  unsigned retries = 8;   // STM attempts before the glock
+  unsigned retries = 8;   // STM attempts before the glock (0: none)
   unsigned orecs = 4096;  // power of two
 
   /// Reads STAGTM_STM / STAGTM_STM_RETRIES / STAGTM_STM_ORECS; exits 2 on
@@ -169,7 +170,7 @@ class StmSystem {
   Addr conflict_addr(CoreId c) const { return tx_[c].conflict_addr; }
 
   // ---- HTM-commit coexistence (called from the executor's atomic
-  // commit_sequence step; see runtime/tx_executor.cpp) ----
+  // htm_commit step; see runtime/tx_executor.cpp) ----
   /// Distinct orec indices covering `lines`, sorted (scratch-buffer reuse).
   const std::vector<std::uint32_t>& orecs_for_lines(
       const std::vector<Addr>& lines);

@@ -2,6 +2,11 @@
 // hygiene, global-lock subscription.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "obs/trace_export.hpp"
 #include "test_util.hpp"
 #include "workloads/dslib/list.hpp"
 
@@ -152,6 +157,71 @@ TEST(Executor, ResultOfCommittedBlockIsReturned) {
   CounterIr c;
   EXPECT_EQ(c.ms.run_ab(1, {c.counter}), 0u);  // slow inc returns old value
   EXPECT_EQ(c.ms.run_ab(1, {c.counter}), 1u);
+}
+
+TEST(Executor, TraceTiersAndAttemptsMatchCommitLog) {
+  // Pins the lifecycle event stream across all three tiers: per core, the
+  // kTxCommit events carry the tier (arg8) and attempt count (a64) that the
+  // commit log records, in the same order, and every irrevocable commit
+  // follows its kIrrevocable entry with no other commit in between.
+  workloads::RunOptions o;
+  o.scheme = Scheme::kStaggered;
+  o.threads = 4;
+  o.ops_scale = 0.05;
+  o.max_retries = 1;  // reach both fallback tiers
+  o.stm = stm::StmConfig{};
+  o.stm.enabled = true;
+  o.checked = true;
+  o.prof_path = std::string();
+  o.sched = check::SchedConfig{};
+  const char* dir = std::getenv("TMPDIR");
+  const std::string path =
+      std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") +
+      "/executor_tiers.trc";
+  o.trace_path = path;
+  const auto r = workloads::run_workload("list-hi", o);
+  ASSERT_TRUE(r.invariant_failure.empty()) << r.invariant_failure;
+  ASSERT_NE(r.commit_log, nullptr);
+
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  obs::TraceData t;
+  std::string err;
+  ASSERT_TRUE(obs::read_binary_trace(f, &t, &err)) << err;
+  std::fclose(f);
+  std::remove(path.c_str());
+  ASSERT_EQ(t.cores(), o.threads);
+
+  std::vector<std::vector<const CommitRecord*>> log(t.cores());
+  for (const CommitRecord& rec : *r.commit_log)
+    log.at(rec.core).push_back(&rec);
+  std::uint64_t by_tier[3] = {};
+  for (unsigned c = 0; c < t.cores(); ++c) {
+    ASSERT_EQ(t.dropped(c), 0u) << "core " << c;
+    std::size_t next = 0;
+    bool irrevocable = false;
+    for (const obs::TraceEvent& e : t.per_core[c].events) {
+      if (e.kind == obs::EventKind::kIrrevocable) {
+        EXPECT_FALSE(irrevocable) << "core " << c << " cycle " << e.at;
+        irrevocable = true;
+      }
+      if (e.kind != obs::EventKind::kTxCommit) continue;
+      ASSERT_LT(next, log[c].size()) << "core " << c;
+      const CommitRecord& rec = *log[c][next++];
+      const unsigned tier = static_cast<unsigned>(rec.tier);
+      ASSERT_LT(tier, 3u);
+      ++by_tier[tier];
+      EXPECT_EQ(e.arg8, tier) << "core " << c << " cycle " << e.at;
+      EXPECT_EQ(e.a64, rec.attempts) << "core " << c << " cycle " << e.at;
+      EXPECT_EQ(e.a32, rec.ab_id) << "core " << c << " cycle " << e.at;
+      EXPECT_EQ(irrevocable, tier == 1) << "core " << c << " cycle " << e.at;
+      irrevocable = false;
+    }
+    EXPECT_EQ(next, log[c].size()) << "core " << c;
+    EXPECT_FALSE(irrevocable) << "core " << c;
+  }
+  for (unsigned tier = 0; tier < 3; ++tier)
+    EXPECT_GT(by_tier[tier], 0u) << "tier " << tier << " never committed";
 }
 
 TEST(ExecutorDeath, StartWhileBusyDies) {

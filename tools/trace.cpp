@@ -27,7 +27,9 @@
 namespace st::cli {
 namespace {
 
+using st::htm::AbortCause;
 using st::obs::EventKind;
+using st::obs::Tier;
 using st::obs::TraceData;
 using st::obs::TraceEvent;
 
@@ -115,17 +117,19 @@ int trace_main(int argc, char** argv) {
       switch (e.kind) {
         case EventKind::kTxBegin: ++begins; break;
         case EventKind::kTxCommit:
-          // arg8 = execution tier: 0 HTM, 1 irrevocable (glock), 2 STM.
           ++commits;
-          if (e.arg8 == 1) ++irrevocable;
-          if (e.arg8 == 2) ++stm_commits;
+          if (static_cast<Tier>(e.arg8) == Tier::kIrrevocable) ++irrevocable;
+          if (static_cast<Tier>(e.arg8) == Tier::kStm) ++stm_commits;
           break;
         case EventKind::kTxAbort: {
           ++aborts;
           // Policy-training tier split: the locking policy trains on HTM
-          // conflict aborts (cause 1) and STM orec conflicts (causes 5-6).
-          if ((e.arg8 & 7) == 1) ++train_htm;
-          if ((e.arg8 & 7) == 5 || (e.arg8 & 7) == 6) ++train_stm;
+          // conflict aborts and STM orec conflicts.
+          const auto cause = static_cast<AbortCause>(e.arg8 & 7);
+          if (cause == AbortCause::Conflict) ++train_htm;
+          if (cause == AbortCause::StmValidation ||
+              cause == AbortCause::StmLock)
+            ++train_stm;
           AbortCell& cell = heat[{e.a64, e.pc_tag}];
           ++cell.count;
           ++cell.by_cause[e.arg8 & 7];
@@ -162,7 +166,7 @@ int trace_main(int argc, char** argv) {
           break;
         }
         case EventKind::kPolicyDecision: ++decisions[e.arg8 & 7]; break;
-        case EventKind::kIrrevocable: break;  // paired kTxCommit(arg8=1)
+        case EventKind::kIrrevocable: break;  // paired irrevocable commit
         case EventKind::kBackoff: ++backoffs; break;
         case EventKind::kLineEscape:
           ++arena_escapes[e.arg8];
@@ -212,11 +216,13 @@ int trace_main(int argc, char** argv) {
                   "tier", "causes");
     if (rows.size() > top) rows.resize(top);
     for (const auto& [key, cell] : rows) {
-      // Execution tier, recovered exactly from the cause namespace: causes
-      // 5..7 are raised only by the STM tier, 1..4 only by hardware
-      // transactions (glock-serialized executions never abort).
+      // Execution tier, recovered exactly from the cause namespace: the
+      // Stm* causes are raised only by the STM tier, the others only by
+      // hardware transactions (glock-serialized executions never abort).
       std::uint64_t stm_ab = 0;
-      for (unsigned cz = 5; cz < 8; ++cz) stm_ab += cell.by_cause[cz];
+      for (auto cz = static_cast<unsigned>(AbortCause::StmValidation);
+           cz <= static_cast<unsigned>(AbortCause::StmGlock); ++cz)
+        stm_ab += cell.by_cause[cz];
       const char* tier = stm_ab == 0 ? "htm"
                          : stm_ab == cell.count ? "stm"
                                                 : "both";
