@@ -1,5 +1,7 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.hpp"
@@ -34,31 +36,51 @@ Cycle Machine::now() const {
 
 namespace {
 
-/// A scheduler event: `id`'s next step starts at `clock`.
-struct Event {
-  Cycle clock;
-  CoreId id;
-};
+/// A scheduler entry packed into one word: `id`'s next step starts at
+/// `clock`, stored as `clock << kIdBits | id`. Unsigned order on the key is
+/// exactly the (clock, id) order run() steps cores in, so the heap compares
+/// one integer instead of two fields.
+using Key = std::uint64_t;
+constexpr unsigned kIdBits = 8;
+static_assert(kMaxCores <= (1u << kIdBits),
+              "a core id must fit the key's id bits");
+constexpr Cycle kClockLimit = Cycle{1} << (64 - kIdBits);
 
-/// Smallest clock first, ties by core id: the order run() steps cores in.
-bool before(const Event& a, const Event& b) {
-  return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
+/// The one place a key is built. A clock of 2^56 or more would spill into
+/// the id bits and silently reorder the schedule, so it fails instead.
+Key make_key(Cycle clock, CoreId id) {
+  ST_CHECK_MSG(clock < kClockLimit,
+               "core clock reached 2^56, past the scheduler key");
+  return clock << kIdBits | id;
 }
 
-/// Moves heap[i] down until neither child comes before it (a binary
-/// min-heap under `before`; the children of slot i are 2i+1 and 2i+2).
-void sift_down(std::vector<Event>& heap, std::size_t i) {
+Cycle key_clock(Key k) { return k >> kIdBits; }
+CoreId key_id(Key k) { return static_cast<CoreId>(k & ((1u << kIdBits) - 1)); }
+
+/// Moves heap[i] down until neither child is smaller (a binary min-heap of
+/// keys; the children of slot i are 2i+1 and 2i+2). The smaller child is
+/// picked with a conditional move rather than a branch: most steps have a
+/// competitor at the same clock, so which child wins is a coin toss the
+/// branch predictor cannot learn.
+void sift_down(std::vector<Key>& heap, std::size_t i) {
   const std::size_t n = heap.size();
-  const Event e = heap[i];
+  Key* h = heap.data();
+  const Key k = h[i];
   for (;;) {
     std::size_t c = 2 * i + 1;
     if (c >= n) break;
-    if (c + 1 < n && before(heap[c + 1], heap[c])) ++c;
-    if (!before(heap[c], e)) break;
-    heap[i] = heap[c];
+    Key kc = h[c];
+    if (c + 1 < n) {
+      const Key k2 = h[c + 1];
+      const bool right = k2 < kc;
+      c += right;
+      kc = right ? k2 : kc;
+    }
+    if (kc >= k) break;
+    h[i] = kc;
     i = c;
   }
-  heap[i] = e;
+  h[i] = k;
 }
 
 }  // namespace
@@ -68,25 +90,29 @@ Cycle Machine::run(Cycle max_cycles) {
   // cores in arbitrary order, and the fusion window only holds for
   // smallest-(clock, id) pops.
   if (perturb_ != nullptr) return run_perturbed(max_cycles);
-  // Replace-top event heap keyed by (clock, core id), one entry per running
-  // core: the top is exactly what a linear scan for the smallest (clock, id)
-  // would pick, without rescanning every core per step. The top core steps
-  // in place; afterwards one sift-down re-keys its entry at its new clock,
-  // or the entry is removed when the task finished. Entries go stale when a
-  // task advances clocks it does not own (advance_clock from inside step);
-  // a stale top is re-keyed at the core's true clock the same way, so no
-  // runnable core is ever lost. Clocks only grow, so this terminates.
-  std::vector<Event> heap;
+  // Replace-top event heap of packed (clock, core id) keys, one entry per
+  // running core: the top is exactly what a linear scan for the smallest
+  // (clock, id) would pick, without rescanning every core per step. The top
+  // core steps in place; afterwards one sift-down re-keys its entry at its
+  // new clock, or the entry is removed when the task finished. Entries go
+  // stale when a task advances clocks it does not own (advance_clock from
+  // inside step); a stale top is re-keyed at the core's true clock the same
+  // way, so no runnable core is ever lost. Clocks only grow, so this
+  // terminates. Every key goes through make_key, so a clock that reaches
+  // 2^56 stops the run on an ST_CHECK rather than wrapping into the id bits.
+  std::vector<Key> heap;
   heap.reserve(cores_.size());
   for (unsigned i = 0; i < cores_.size(); ++i)
     if (cores_[i].task && !cores_[i].task->done())
-      heap.push_back({cores_[i].clock, static_cast<CoreId>(i)});
+      heap.push_back(make_key(cores_[i].clock, static_cast<CoreId>(i)));
   for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(heap, i);
   while (!heap.empty()) {
-    const auto [clk, id] = heap[0];
+    const Key top = heap[0];
+    const CoreId id = key_id(top);
+    const Cycle clk = key_clock(top);
     Core& c = cores_[id];
     if (c.clock != clk) {
-      heap[0].clock = c.clock;
+      heap[0] = make_key(c.clock, id);
       sift_down(heap, 0);
       continue;
     }
@@ -97,14 +123,14 @@ Cycle Machine::run(Cycle max_cycles) {
     // by max_cycles). Work fused inside the window executes in exactly the
     // order single-stepping would have produced. The competitor is the
     // smaller of the top's two children. Stale competitor entries only
-    // shrink the window — never past an actual runnable event.
+    // shrink the window — never past an actual runnable event. The limit
+    // is computed from the competitor's clock field, which is below 2^56,
+    // so the +1 cannot overflow (adding to the packed key could).
     Cycle limit = max_cycles;
     if (heap.size() > 1) {
-      Event next = heap[1];
-      if (heap.size() > 2 && before(heap[2], next)) next = heap[2];
-      const Cycle h =
-          (id < next.id && next.clock != ~Cycle{0}) ? next.clock + 1
-                                                    : next.clock;
+      Key next = heap[1];
+      if (heap.size() > 2) next = std::min(next, heap[2]);
+      const Cycle h = key_clock(next) + (key_id(next) > id);
       if (h < limit) limit = h;
     }
     fuse_budget_ = (fusion_ && limit > clk) ? limit - clk : 1;
@@ -115,7 +141,7 @@ Cycle Machine::run(Cycle max_cycles) {
     // its own step() (the CoreTask contract), so the entries of the other
     // cores never need re-checking.
     if (!c.task->done()) {
-      heap[0].clock = c.clock;
+      heap[0] = make_key(c.clock, id);
     } else {
       // A finished task's entry is removed, so this fires exactly once per
       // core per run.

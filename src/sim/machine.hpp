@@ -4,10 +4,12 @@
 // machine). The machine repeatedly advances the runnable core with the
 // smallest clock (ties broken by core id), so a given configuration and seed
 // always produces a bit-identical execution, independent of the host. The
-// loop keeps one (clock, id) entry per running core in a binary min-heap:
-// the top core steps in place and one replace-top sift-down re-keys it. It
-// runs on the calling host thread; parallelism across simulations comes
-// from running several machines at once (workloads/runner.hpp).
+// loop keeps one entry per running core in a binary min-heap, packed into
+// one 64-bit word as `clock << 8 | id` (so core clocks must stay below 2^56;
+// kMaxCores fits the 8 id bits): the top core steps in place and one
+// replace-top sift-down re-keys it. It runs on the calling host thread;
+// parallelism across simulations comes from running several machines at
+// once (workloads/runner.hpp).
 #pragma once
 
 #include <memory>
@@ -74,6 +76,8 @@ class Machine {
 
   /// Runs until every task reports done() or `max_cycles` of global time
   /// elapse. Returns the final global time (max over core clocks that ran).
+  /// Without a perturbation hook, a running core whose clock reaches 2^56
+  /// stops the run on an ST_CHECK (the scheduler key has no room for it).
   Cycle run(Cycle max_cycles = ~Cycle{0});
 
   Cycle core_clock(CoreId core) const { return cores_[core].clock; }

@@ -160,6 +160,21 @@ struct Scenario {
   Cycle slice = 0;  // 0: one unbounded run(); else bounded slices
 };
 
+Script random_script(Xoshiro256ss& rng, unsigned cores) {
+  Script s;
+  s.fuses = rng.chance_pct(50);
+  const std::uint64_t n = rng.chance_pct(10) ? 0 : rng.next_range(1, 60);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Action a{};
+    a.cost = rng.chance_pct(20) ? 0 : rng.next_range(1, 40);
+    a.other =
+        rng.chance_pct(15) ? static_cast<int>(rng.next_below(cores)) : -1;
+    a.amount = rng.next_range(1, 60);
+    s.actions.push_back(a);
+  }
+  return s;
+}
+
 Scenario random_scenario(Xoshiro256ss& rng) {
   Scenario sc;
   sc.cores = static_cast<unsigned>(rng.next_range(1, 12));
@@ -168,19 +183,23 @@ Scenario random_scenario(Xoshiro256ss& rng) {
   for (unsigned c = 0; c < sc.cores; ++c) {
     sc.installed.push_back(rng.chance_pct(85));
     sc.head_start.push_back(rng.chance_pct(30) ? rng.next_below(50) : 0);
-    Script s;
-    s.fuses = rng.chance_pct(50);
-    const std::uint64_t n = rng.chance_pct(10) ? 0 : rng.next_range(1, 60);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Action a{};
-      a.cost = rng.chance_pct(20) ? 0 : rng.next_range(1, 40);
-      a.other = rng.chance_pct(15)
-                    ? static_cast<int>(rng.next_below(sc.cores))
-                    : -1;
-      a.amount = rng.next_range(1, 60);
-      s.actions.push_back(a);
-    }
-    sc.scripts.push_back(std::move(s));
+    sc.scripts.push_back(random_script(rng, sc.cores));
+  }
+  return sc;
+}
+
+/// kMaxCores cores that all start at clock 0 except a few head starts: the
+/// first steps are all ties, core ids reach 255 and the heap is 8 levels
+/// deep, none of which random_scenario's at most 12 cores reach.
+Scenario max_cores_scenario(Xoshiro256ss& rng) {
+  Scenario sc;
+  sc.cores = kMaxCores;
+  sc.fusion = rng.chance_pct(70);
+  sc.slice = rng.chance_pct(40) ? rng.next_range(1, 200) : 0;
+  for (unsigned c = 0; c < sc.cores; ++c) {
+    sc.installed.push_back(rng.chance_pct(95));
+    sc.head_start.push_back(rng.chance_pct(3) ? rng.next_below(50) : 0);
+    sc.scripts.push_back(random_script(rng, sc.cores));
   }
   return sc;
 }
@@ -298,6 +317,104 @@ TEST(Machine, HeapSchedulerMatchesLinearScanReference) {
     ASSERT_EQ(got_ends, want_ends);
     EXPECT_TRUE(m.all_done());
   }
+}
+
+/// Runs `sc` on a Machine and returns the steps it offered and the ends of
+/// its run() calls.
+std::pair<std::vector<Step>, std::vector<Cycle>> run_machine(
+    const Scenario& sc) {
+  Machine m(sc.cores);
+  m.set_step_fusion(sc.fusion);
+  std::vector<Step> log;
+  for (unsigned c = 0; c < sc.cores; ++c)
+    if (sc.installed[c])
+      m.set_task(c, std::make_unique<ScriptedTask>(sc.scripts[c], &log));
+  for (unsigned c = 0; c < sc.cores; ++c)
+    m.advance_clock(c, sc.head_start[c]);
+  std::vector<Cycle> ends = drive(
+      sc, [&](Cycle max) { return m.run(max); }, [&] { return m.all_done(); });
+  EXPECT_TRUE(m.all_done());
+  return {std::move(log), std::move(ends)};
+}
+
+/// The same for the reference scheduler.
+std::pair<std::vector<Step>, std::vector<Cycle>> run_reference(
+    const Scenario& sc) {
+  ReferenceScheduler ref(sc);
+  std::vector<Step> log;
+  std::vector<Cycle> ends = drive(
+      sc, [&](Cycle max) { return ref.run(max, &log); },
+      [&] { return ref.all_done(); });
+  return {std::move(log), std::move(ends)};
+}
+
+TEST(Machine, HeapSchedulerMatchesReferenceAtMaxCores) {
+  Xoshiro256ss rng(256);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Scenario sc = max_cores_scenario(rng);
+    const auto [got, got_ends] = run_machine(sc);
+    const auto [want, want_ends] = run_reference(sc);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i])
+          << "step " << i << ": core " << got[i].core << " at "
+          << got[i].start << " budget " << got[i].budget << ", want core "
+          << want[i].core << " at " << want[i].start << " budget "
+          << want[i].budget;
+    ASSERT_EQ(got_ends, want_ends);
+  }
+}
+
+// A scheduler entry packs a clock into the top 56 bits of a word, so 2^56 - 1
+// is the largest clock a core can step at.
+constexpr Cycle kClockLimit = Cycle{1} << 56;
+
+TEST(Machine, ClockJustBelowKeyLimitStepsWithExactFuseBudget) {
+  constexpr Cycle kLast = kClockLimit - 1;
+  Scenario sc;
+  sc.cores = 2;
+  sc.installed = {true, true};
+  sc.scripts = {Script{{{9, -1, 0}, {1, -1, 0}}}, Script{{{1, -1, 0}}}};
+  sc.head_start = {kLast - 9, kLast};
+  const auto [got, got_ends] = run_machine(sc);
+  const std::vector<Step> want = {
+      // Core 1 waits at kLast with the larger id, so core 0 may fuse up to
+      // and including kLast: the window's +1 must not wrap.
+      {0, kLast - 9, 10},
+      // Both at kLast: core 0 wins the tie, with a budget of 1.
+      {0, kLast, 1},
+      // Alone: the window is capped by run()'s max_cycles only.
+      {1, kLast, ~Cycle{0} - kLast},
+  };
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_ends, std::vector<Cycle>{kClockLimit});
+  const auto [ref, ref_ends] = run_reference(sc);
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(got_ends, ref_ends);
+}
+
+TEST(MachineDeath, ClockAtKeyLimitDiesInsteadOfWrapping) {
+  std::vector<std::pair<unsigned, Cycle>> trace;
+  // Already at 2^56 when run() builds its heap.
+  EXPECT_DEATH(
+      {
+        Machine m(2);
+        m.set_task(0, std::make_unique<TraceTask>(&trace, 0, 1, 1));
+        m.set_task(1, std::make_unique<TraceTask>(&trace, 1, 1, 1));
+        m.advance_clock(0, kClockLimit);
+        m.run();
+      },
+      "core clock reached 2\\^56");
+  // Reaches 2^56 in a step and is re-keyed while still running.
+  EXPECT_DEATH(
+      {
+        Machine m(1);
+        m.set_task(0, std::make_unique<TraceTask>(&trace, 0, 1, 2));
+        m.advance_clock(0, kClockLimit - 1);
+        m.run();
+      },
+      "core clock reached 2\\^56");
 }
 
 }  // namespace
